@@ -432,7 +432,7 @@ let verified_dispatch_bench (alloc_copy, alloc_reuse, alloc_reduction)
       dns_e2e_after )
     (http_before, http_after, http_reduction)
     (susp_arena, susp_copy, susp_copies) =
-  Bench_util.header "bytecode verifier: checked vs verified vs specialized dispatch";
+  Bench_util.header "bytecode verifier: checked vs verified dispatch vs closure tier";
   let iters = 400_000L in
   let module H = Hilti_vm.Host_api in
   let api_checked = H.compile ~verify:false [ hot_loop_module () ] in
@@ -458,7 +458,7 @@ let verified_dispatch_bench (alloc_copy, alloc_reuse, alloc_reduction)
     (Bench_util.ms ns_checked);
   Printf.printf "  verified dispatch    (specialize=false): %8.2f ms\n"
     (Bench_util.ms ns_verified);
-  Printf.printf "  specialized dispatch (default):          %8.2f ms\n"
+  Printf.printf "  closure tier         (default):          %8.2f ms\n"
     (Bench_util.ms ns_spec);
   Printf.printf "  verified/checked speedup:     %.2fx\n" speedup;
   Printf.printf "  specialized/verified speedup: %.2fx\n" speedup_spec;

@@ -109,9 +109,10 @@ awk -F': ' '/"speedup_fdd_10k"/ { if ($2+0 < 10) exit 1 }' BENCH_classifier.json
 echo "== fuzz suite (test_fuzz: shape scanners, replayable findings, clean pairs)"
 dune exec test/test_main.exe -- test fuzz
 
-echo "== fuzz smoke (all six differential pairs, fixed seed, bounded time)"
-# DNS pair + both new grammars under std-vs-pac and checked-vs-specialized
-# dispatch; any divergence, crash or hang fails the check (exit 1).  The
+echo "== fuzz smoke (all nine differential pairs, fixed seed, bounded time)"
+# MQTT, FTP and DNS under std-vs-pac, checked-vs-tier dispatch and
+# plain-vs-specialized compilation; any divergence, crash or hang fails
+# the check (exit 1).  The
 # budget keeps this under ~15s even on slow machines.
 dune exec bin/mini_bro_cli.exe -- -fuzz all -seed 1 -budget 150 -quiet
 

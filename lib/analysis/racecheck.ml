@@ -256,7 +256,8 @@ let check (p : Bytecode.program) ~(shard_entries : string list) : race list =
                          "deferred call to '%s' writes globals; it may fire \
                           on a different shard"
                          p.Bytecode.funcs.(callee).Bytecode.name)
-              | Bytecode.CallC (name, _, _) -> (
+              | Bytecode.CallC (h, _, _) -> (
+                  let name = Bytecode.host_name p h in
                   match Effects.host_effects name with
                   | None ->
                       flag "race/hostapi-shared" fi pc

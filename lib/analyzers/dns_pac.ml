@@ -57,8 +57,7 @@ let rec parse_view (t : t) (v : Hilti_types.Hbytes.view) : parsed =
   match Runtime.parse_view t.parser ~unit_name:"Message" v with
   | st ->
       (* Struct-to-event-argument conversion is HILTI-to-Bro glue. *)
-      Hilti_rt.Profiler.time_exclusive Mini_bro.Bro_val.glue_profiler (fun () ->
-          convert st)
+      Mini_bro.Bro_val.glue (fun () -> convert st)
   | exception Runtime.Parse_failed _ -> Not_dns
 
 and convert st =

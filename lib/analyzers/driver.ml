@@ -900,7 +900,13 @@ let run_dns_src_unbatched ~(kind : dns_kind) ~(sink : Events.sink)
     collector replays connection tracking and event dispatch in global
     packet order — the produced events, and therefore the logs, are
     byte-identical to {!run_dns_src}'s.  [shards = 1] is the degenerate
-    case: one worker, same output, pipeline parallelism only. *)
+    case: one worker, same output, pipeline parallelism only.
+
+    [ring] defaults to 4 batches for one shard and to the plane's default
+    otherwise.  A lone worker that outpaces the collector fills its output
+    ring with parsed messages, which are bulkier than the datagrams they
+    replace, so a deeper ring only raises peak heap; with several shards
+    the deeper rings absorb workers being descheduled. *)
 let run_dns_sharded_src ?batch ?ring ~shards ~(mk_kind : int -> dns_kind)
     ?idle_timeout ?(stats_export : stats_export option) ~(sink : Events.sink)
     (src : Hilti_rt.Iosrc.t) : stats =
@@ -911,6 +917,7 @@ let run_dns_sharded_src ?batch ?ring ~shards ~(mk_kind : int -> dns_kind)
   let sink, flush_obs = counted_sink sink stats in
   sink.Events.raise_event "bro_init" [];
   let stage = dns_stage ~sink ~stats ?idle_timeout ?stats_export () in
+  let ring = match ring with None when shards = 1 -> Some 4 | r -> r in
   let shard_of (p : Hilti_rt.Iosrc.packet) =
     match Packet.peek_flow p.Hilti_rt.Iosrc.data with
     | Some flow -> Flow.shard ~shards flow

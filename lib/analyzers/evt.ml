@@ -196,7 +196,7 @@ let load ?(optimize = true) (config : t) (grammar : Binpacxx.Ast.grammar) : load
            with
           | Some binding ->
               let field_vals =
-                Hilti_rt.Profiler.time_exclusive Mini_bro.Bro_val.glue_profiler
+                Mini_bro.Bro_val.glue
                   (fun () ->
                     List.map
                       (fun f ->

@@ -55,9 +55,7 @@ let load ?(optimize = true) ?(verify = true) ?(specialize = true) () : t =
   in
   let t = { parser; on_event = ignore } in
   t_ref := Some t;
-  let glue f =
-    Hilti_rt.Profiler.time_exclusive Mini_bro.Bro_val.glue_profiler f
-  in
+  let glue = Mini_bro.Bro_val.glue in
   Hilti_vm.Host_api.register parser.Runtime.api "Analyzer::ftp_request"
     (fun args ->
       (match (args, !t_ref) with

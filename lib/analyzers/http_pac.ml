@@ -129,9 +129,7 @@ let load ?(optimize = true) () : t =
   t_ref := Some t;
   (* Converting a parsed unit struct into event arguments is the
      HILTI-to-Bro glue of §6.4 — profiled as such. *)
-  let glue f =
-    Hilti_rt.Profiler.time_exclusive Mini_bro.Bro_val.glue_profiler f
-  in
+  let glue = Mini_bro.Bro_val.glue in
   Hilti_vm.Host_api.register parser.Runtime.api "Analyzer::http_request"
     (fun args ->
       (match (args, !t_ref) with

@@ -104,8 +104,7 @@ let load ?(optimize = true) ?(verify = true) ?(specialize = true) () : t =
       (match (args, !t_ref) with
       | [ st ], Some t ->
           let ev =
-            Hilti_rt.Profiler.time_exclusive Mini_bro.Bro_val.glue_profiler
-              (fun () -> event_of_unit st)
+            Mini_bro.Bro_val.glue (fun () -> event_of_unit st)
           in
           t.on_packet ev
       | _ -> ());

@@ -8,7 +8,11 @@ open Hilti_vm
 type t = {
   api : Host_api.t;
   grammar : Ast.grammar;
+  entries : (string * Host_api.func) array;
+      (** unit name -> its [parse_<Unit>] function, resolved at load *)
 }
+
+let parse_fn_name (g : Ast.grammar) unit_name = g.Ast.gname ^ "::parse_" ^ unit_name
 
 (** Compile and load a grammar.  [prepare] can add further IR to the
     module before compilation — e.g. the Bro event bridge's hook bodies.
@@ -21,9 +25,31 @@ let load ?(optimize = true) ?(verify = true) ?(specialize = true) ?prepare
   (match prepare with Some f -> f m | None -> ());
   let api = Host_api.compile ~optimize ~verify ~specialize [ m ] in
   ignore (Host_api.call api (g.Ast.gname ^ "::init") []);
-  { api; grammar = g }
+  let entries =
+    List.filter_map
+      (function
+        | Ast.Unit u -> (
+            match Host_api.func api (parse_fn_name g u.Ast.uname) with
+            | f -> Some (u.Ast.uname, f)
+            | exception Vm.Runtime_error _ -> None)
+        | _ -> None)
+      g.Ast.decls
+  in
+  { api; grammar = g; entries = Array.of_list entries }
 
-let parse_fn t unit_name = t.grammar.Ast.gname ^ "::parse_" ^ unit_name
+let parse_fn t unit_name = parse_fn_name t.grammar unit_name
+
+(* Call [parse_<unit_name>] through its resolved index; a unit name the
+   grammar does not declare fails by name, as an unresolved call does. *)
+let call_parse t unit_name args =
+  let rec find i =
+    if i >= Array.length t.entries then
+      Host_api.call t.api (parse_fn t unit_name) args
+    else
+      let n, f = t.entries.(i) in
+      if String.equal n unit_name then Host_api.call_func t.api f args else find (i + 1)
+  in
+  find 0
 
 exception Parse_failed of string
 
@@ -48,7 +74,7 @@ let unwrap_result = function
 let parse_bytes t ~unit_name (b : Hilti_types.Hbytes.t) : Value.t =
   let it = Value.Iter (Value.Ibytes (Hilti_types.Hbytes.begin_ b)) in
   protect "parse"
-    (fun () -> unwrap_result (Host_api.call t.api (parse_fn t unit_name) [ it; it ]))
+    (fun () -> unwrap_result (call_parse t unit_name [ it; it ]))
 
 (** Parse complete input; returns the unit struct.  Wraps the string in a
     frozen bytes object without copying it. *)

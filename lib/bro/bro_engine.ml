@@ -6,7 +6,8 @@
     HILTI values and runs the corresponding HILTI hook; script callouts
     (print/fmt/logging/event queuing) come back through registered host
     functions.  Both conversion directions run under the "bro/glue"
-    profiler — the glue-code cost Figures 9/10 single out. *)
+    profiler — the glue-code cost Figures 9/10 single out — one window
+    per argument list. *)
 
 open Bro_ast
 
@@ -19,6 +20,9 @@ type compiled = {
   mutable cprint : string -> unit;
   cqueue : (string * Bro_val.t list) Queue.t;
   mutable cnetwork_time : Hilti_types.Time_ns.t;
+  chooks : (string, Hilti_vm.Host_api.hook option) Hashtbl.t;
+      (** event name -> its compiled hook, resolved on first dispatch
+          ([None]: the script has no handler for it) *)
 }
 
 type t = Interp of Bro_interp.t | Comp of compiled
@@ -115,6 +119,7 @@ let load ?(logger = Bro_log.create ()) ?(optimize = true) mode (script : script)
           cprint = print_endline;
           cqueue = Queue.create ();
           cnetwork_time = Hilti_types.Time_ns.epoch;
+          chooks = Hashtbl.create 16;
         }
       in
       let module V = Hilti_vm.Value in
@@ -183,7 +188,8 @@ let load ?(logger = Bro_log.create ()) ?(optimize = true) mode (script : script)
       reg "Bro::queue_event" (fun args ->
           match args with
           | name :: rest ->
-              Queue.add (hl_render name, List.map Bro_val.of_hilti rest) c.cqueue;
+              let args = Bro_val.glue (fun () -> List.map Bro_val.of_hilti_raw rest) in
+              Queue.add (hl_render name, args) c.cqueue;
               V.Null
           | [] -> raise (Bro_val.Bro_error "queue_event arity"));
       ignore (Hilti_vm.Host_api.call api "bro::init_globals" []);
@@ -191,14 +197,26 @@ let load ?(logger = Bro_log.create ()) ?(optimize = true) mode (script : script)
 
 (* ---- Dispatch -------------------------------------------------------------------- *)
 
+let event_hook c name =
+  match Hashtbl.find_opt c.chooks name with
+  | Some h -> h
+  | None ->
+      let h =
+        if event_handlers c.cscript name = [] then None
+        else Hilti_vm.Host_api.hook c.api (Bro_compile.event_hook name)
+      in
+      Hashtbl.add c.chooks name h;
+      h
+
 let rec dispatch (t : t) name (args : Bro_val.t list) =
   match t with
   | Interp i -> Bro_interp.dispatch i name args
   | Comp c ->
-      if event_handlers c.cscript name <> [] then begin
-        let hargs = List.map Bro_val.to_hilti args in
-        Hilti_vm.Host_api.run_hook c.api (Bro_compile.event_hook name) hargs
-      end;
+      (match event_hook c name with
+      | Some h ->
+          let hargs = Bro_val.glue (fun () -> List.map Bro_val.to_hilti_raw args) in
+          Hilti_vm.Host_api.run_resolved_hook c.api h hargs
+      | None -> ());
       while not (Queue.is_empty c.cqueue) do
         let n, a = Queue.take c.cqueue in
         dispatch t n a
@@ -225,9 +243,9 @@ let call_function t name (args : Bro_val.t list) : Bro_val.t =
   match t with
   | Interp i -> Bro_interp.call_value i name args
   | Comp c ->
-      let hargs = List.map Bro_val.to_hilti args in
-      Bro_val.of_hilti
-        (Hilti_vm.Host_api.call c.api (Bro_compile.func_name name) hargs)
+      let hargs = Bro_val.glue (fun () -> List.map Bro_val.to_hilti_raw args) in
+      let r = Hilti_vm.Host_api.call c.api (Bro_compile.func_name name) hargs in
+      Bro_val.glue (fun () -> Bro_val.of_hilti_raw r)
 
 (** Abstract cycles executed by the compiled engine (0 for interpreted). *)
 let cycles = function

@@ -1,8 +1,8 @@
 (** Runtime values of the Mini-Bro interpreter — the Val hierarchy of §5
     "Bro Interface" — plus the bidirectional conversion to HILTI values
     that the compiled-script engine needs.  Those conversions are exactly
-    the "HILTI-to-Bro glue code" whose cost Figures 9/10 report, so they
-    run under a dedicated profiler. *)
+    the "HILTI-to-Bro glue code" whose cost Figures 9/10 report, so their
+    callers run them inside {!glue} windows under a dedicated profiler. *)
 
 open Hilti_types
 
@@ -186,22 +186,21 @@ let record_field r name =
 
 let glue_profiler = "bro/glue"
 
+(** Run [f] as one glue window: conversions are timed per event argument
+    list or per message, never per value, so a window's clock reads are
+    amortized over every value it converts. *)
+let glue f = Hilti_rt.Profiler.time_exclusive glue_profiler f
+
 (** Convert a Bro value to its HILTI representation.  Bro strings become
     HILTI bytes (as in the real plugin, where script strings carry raw
-    payload data). *)
-let rec to_hilti (v : t) : Hilti_vm.Value.t =
-  Hilti_rt.Profiler.time_exclusive glue_profiler (fun () -> to_hilti_raw v)
-
-and to_hilti_raw (v : t) : Hilti_vm.Value.t =
+    payload data).  Untimed: callers open a {!glue} window. *)
+let rec to_hilti_raw (v : t) : Hilti_vm.Value.t =
   let module V = Hilti_vm.Value in
   match v with
   | Vbool b -> V.Bool b
   | Vcount c | Vint c -> V.Int c
   | Vdouble d -> V.Double d
-  | Vstring s ->
-      let b = Hbytes.of_string s in
-      Hbytes.freeze b;
-      V.Bytes b
+  | Vstring s -> V.Bytes (Hbytes.frozen_of_string s)
   | Vaddr a -> V.Addr a
   | Vport p -> V.Port p
   | Vsubnet n -> V.Net n
@@ -249,11 +248,9 @@ and to_hilti_raw (v : t) : Hilti_vm.Value.t =
   | Vvoid -> V.Null
 
 (** Convert a HILTI value back to a Bro value (for event arguments coming
-    out of BinPAC++ parsers and for reading compiled-script state). *)
-let rec of_hilti (v : Hilti_vm.Value.t) : t =
-  Hilti_rt.Profiler.time_exclusive glue_profiler (fun () -> of_hilti_raw v)
-
-and of_hilti_raw (v : Hilti_vm.Value.t) : t =
+    out of BinPAC++ parsers and for reading compiled-script state).
+    Untimed, like {!to_hilti_raw}. *)
+let rec of_hilti_raw (v : Hilti_vm.Value.t) : t =
   let module V = Hilti_vm.Value in
   match v with
   | V.Bool b -> Vbool b

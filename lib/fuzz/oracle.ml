@@ -4,12 +4,18 @@
     Implementations come in two families:
     - hand-written baseline vs BinPAC++ parser (mqtt, ftp, dns) — the
       §6.4 cross-parser differential;
-    - the same BinPAC++ grammar on two VM dispatch loops (checked vs
-      specialized) — a compiler/VM differential.
+    - the same compiled BinPAC++ grammar on two VM dispatch loops (the
+      checked oracle vs the closure tier that verified, specialized
+      programs run on) — a VM differential on identical bytecode;
+    - the same BinPAC++ grammar compiled without and with specialization
+      (checked or verified loop on plain code vs the closure tier on
+      specialized code) — a compiler differential over the specializer
+      and peephole passes.
 
     Each run yields an {!outcome}: the serialized event stream (the
     common currency both analyzer families emit), per-flow fates
-    ("ok"/"reject" per parser incarnation), plus crash and hang flags.
+    ("ok"/"reject" per parser incarnation), the VM cost of every parser
+    call (BinPAC++ side only), plus crash and hang flags.
     A crash is any failure escaping the Parse_failed/Hilti_error
     contract; a hang is a parse exceeding the VM step budget. *)
 
@@ -19,6 +25,10 @@ module R = Binpacxx.Runtime
 type outcome = {
   events : string list;  (** serialized events, in feed order *)
   fates : string list;  (** per flow incarnation: "fN.I ok" / "fN.I reject" *)
+  costs : string list;
+      (** per parser call, in call order: instructions retired and runtime
+          safety checks fired (the latter counted only while metrics are
+          enabled); empty for the hand-written parsers *)
   crash : string option;
   hang : bool;
 }
@@ -78,13 +88,38 @@ type stream_parser = {
   p_eof : unit -> string;
 }
 
+(* Run one parser call, recording its VM cost when [api] is given: the
+   instructions it retired and the runtime safety checks that fired. *)
+let metered api costs f =
+  match api with
+  | None -> f ()
+  | Some api ->
+      let c0 = Hilti_vm.Host_api.cycles api in
+      let h0 = Hilti_obs.Metrics.counter_value Hilti_vm.Value.m_dynamic_hit in
+      let record () =
+        costs :=
+          Printf.sprintf "%Ld/%d"
+            (Int64.sub (Hilti_vm.Host_api.cycles api) c0)
+            (Hilti_obs.Metrics.counter_value Hilti_vm.Value.m_dynamic_hit - h0)
+          :: !costs
+      in
+      (match f () with
+      | v ->
+          record ();
+          v
+      | exception e ->
+          record ();
+          raise e)
+
 (** Drive a case through per-flow incremental parsers: chunks interleave
     round-robin across flows; eviction points end the flow's parser and
     start a fresh incarnation (the driver's idle-timeout behavior). *)
-let run_streams ~(mk : flow:int -> label:string -> push:(string -> unit) -> stream_parser)
+let run_streams ?api
+    ~(mk : flow:int -> label:string -> push:(string -> unit) -> stream_parser)
     (case : Mutate.case) : outcome =
-  let events = ref [] and fates = ref [] in
+  let events = ref [] and fates = ref [] and costs = ref [] in
   let push line = events := line :: !events in
+  let metered f = metered api costs f in
   let nf = Array.length case.Mutate.streams in
   let chunks = Array.init nf (fun f -> Array.of_list (Mutate.chunks case f)) in
   let inc = Array.make nf 0 in
@@ -95,6 +130,7 @@ let run_streams ~(mk : flow:int -> label:string -> push:(string -> unit) -> stre
     {
       events = List.rev !events;
       fates = List.rev !fates;
+      costs = List.rev !costs;
       crash = None;
       hang = false;
     }
@@ -106,7 +142,7 @@ let run_streams ~(mk : flow:int -> label:string -> push:(string -> unit) -> stre
         if k < Array.length chunks.(f) then begin
           (match parsers.(f) with
           | Some p -> (
-              match p.p_feed chunks.(f).(k) with
+              match metered (fun () -> p.p_feed chunks.(f).(k)) with
               | Some st ->
                   fate f st;
                   parsers.(f) <- None
@@ -117,7 +153,7 @@ let run_streams ~(mk : flow:int -> label:string -> push:(string -> unit) -> stre
             (* Idle-timeout eviction: flush the current session, then a
                fresh one picks up the remaining bytes. *)
             (match parsers.(f) with
-            | Some p -> fate f (p.p_eof ())
+            | Some p -> fate f (metered p.p_eof)
             | None -> ());
             inc.(f) <- inc.(f) + 1;
             parsers.(f) <- Some (mk ~flow:f ~label:(label f) ~push)
@@ -127,7 +163,7 @@ let run_streams ~(mk : flow:int -> label:string -> push:(string -> unit) -> stre
     done;
     for f = 0 to nf - 1 do
       match parsers.(f) with
-      | Some p -> fate f (p.p_eof ())
+      | Some p -> fate f (metered p.p_eof)
       | None -> ()
     done;
     finish ()
@@ -159,8 +195,17 @@ let classify_status = function
 let eof_fate status =
   match classify_status status with Some st -> st | None -> "reject"
 
-let dispatch_tag ~verify ~specialize =
-  if not verify then "checked" else if specialize then "spec" else "verified"
+let dispatch_tag ~checked_loop ~verify ~specialize =
+  if checked_loop then "checked-spec"
+  else if not verify then "checked"
+  else if specialize then "spec"
+  else "verified"
+
+(* [checked_loop] runs the compiled parser on the VM's checked oracle loop
+   instead of the loop its compilation selects (the closure tier, for a
+   verified and specialized program): the dispatch differentials compare
+   the two on identical bytecode. *)
+let select_loop ~checked_loop api = if checked_loop then Hilti_vm.Host_api.use_checked_loop api
 
 (* ---- MQTT implementations ---------------------------------------------------- *)
 
@@ -188,18 +233,19 @@ let mqtt_std () : impl =
           });
   }
 
-let mqtt_pac ~verify ~specialize ~step_budget () : impl =
+let mqtt_pac ?(checked_loop = false) ~verify ~specialize ~step_budget () : impl =
   let t = Mpac.load ~verify ~specialize () in
   let api = t.Mpac.parser.R.api in
+  select_loop ~checked_loop api;
   {
-    iname = "mqtt-pac-" ^ dispatch_tag ~verify ~specialize;
+    iname = "mqtt-pac-" ^ dispatch_tag ~checked_loop ~verify ~specialize;
     run =
       (fun case ->
         Hilti_vm.Host_api.set_step_budget api step_budget;
         Fun.protect
           ~finally:(fun () -> Hilti_vm.Host_api.clear_step_budget api)
           (fun () ->
-            run_streams case ~mk:(fun ~flow:_ ~label ~push ->
+            run_streams ~api case ~mk:(fun ~flow:_ ~label ~push ->
                 let ss =
                   Mpac.session t ~on_packet:(fun ev ->
                       push (label ^ " " ^ mqtt_ev ev))
@@ -242,18 +288,19 @@ let ftp_std () : impl =
           });
   }
 
-let ftp_pac ~verify ~specialize ~step_budget () : impl =
+let ftp_pac ?(checked_loop = false) ~verify ~specialize ~step_budget () : impl =
   let t = Fpac.load ~verify ~specialize () in
   let api = t.Fpac.parser.R.api in
+  select_loop ~checked_loop api;
   {
-    iname = "ftp-pac-" ^ dispatch_tag ~verify ~specialize;
+    iname = "ftp-pac-" ^ dispatch_tag ~checked_loop ~verify ~specialize;
     run =
       (fun case ->
         Hilti_vm.Host_api.set_step_budget api step_budget;
         Fun.protect
           ~finally:(fun () -> Hilti_vm.Host_api.clear_step_budget api)
           (fun () ->
-            run_streams case ~mk:(fun ~flow ~label ~push ->
+            run_streams ~api case ~mk:(fun ~flow ~label ~push ->
                 let ss =
                   Fpac.session t ~is_command:(ftp_is_command flow)
                     ~on_event:(fun ev -> push (label ^ " " ^ ftp_ev ev))
@@ -271,16 +318,19 @@ module Dpac = Hilti_analyzers.Dns_pac
 
 (* DNS is datagram-oriented: every feed chunk is parsed as one
    standalone datagram, so a Chunk mutation splits a datagram in two. *)
-let run_datagrams ~(parse : string -> string) (case : Mutate.case) : outcome =
-  let events = ref [] in
+let run_datagrams ?api ~(parse : string -> string) (case : Mutate.case) : outcome =
+  let events = ref [] and costs = ref [] in
   let finish () =
-    { events = List.rev !events; fates = []; crash = None; hang = false }
+    { events = List.rev !events; fates = []; costs = List.rev !costs; crash = None;
+      hang = false }
   in
   try
     Array.iteri
       (fun f _ ->
         List.iteri
-          (fun i d -> events := Printf.sprintf "f%d.%d %s" f i (parse d) :: !events)
+          (fun i d ->
+            let ev = metered api costs (fun () -> parse d) in
+            events := Printf.sprintf "f%d.%d %s" f i ev :: !events)
           (Mutate.chunks case f))
       case.Mutate.streams;
     finish ()
@@ -302,18 +352,19 @@ let dns_std () : impl =
           | exception e -> raise (Crashed (Printexc.to_string e)));
   }
 
-let dns_pac ~specialize ~step_budget () : impl =
+let dns_pac ?(checked_loop = false) ~specialize ~step_budget () : impl =
   let t = Dpac.load ~specialize () in
   let api = t.Dpac.parser.R.api in
+  select_loop ~checked_loop api;
   {
-    iname = "dns-pac-" ^ dispatch_tag ~verify:true ~specialize;
+    iname = "dns-pac-" ^ dispatch_tag ~checked_loop ~verify:true ~specialize;
     run =
       (fun case ->
         Hilti_vm.Host_api.set_step_budget api step_budget;
         Fun.protect
           ~finally:(fun () -> Hilti_vm.Host_api.clear_step_budget api)
           (fun () ->
-            run_datagrams case ~parse:(fun d ->
+            run_datagrams ~api case ~parse:(fun d ->
                 match Dpac.parse t d with
                 | Dpac.Request rq -> dns_req rq
                 | Dpac.Reply rp -> dns_rep rp
@@ -345,6 +396,14 @@ let exact a b =
   | Some d -> Some d
   | None ->
       first_diff "fate" (List.sort compare a.fates) (List.sort compare b.fates)
+
+(* A dispatch differential compares everything [exact] does plus the cost
+   of every parser call: both loops must retire the same instructions and
+   fire the same runtime checks. *)
+let same_costs a b =
+  match exact a b with
+  | Some d -> Some d
+  | None -> first_diff "cost" a.costs b.costs
 
 (* The §6.4-normalized DNS comparison: the standard and BinPAC++ parsers
    are documented to differ on answer rendering (TXT strings) and on how
@@ -393,6 +452,12 @@ let pair_specs : (string * Shape.proto * (int -> pair)) list =
     ( "mqtt/dispatch", Shape.Mqtt,
       fun step_budget ->
         { pname = "mqtt/dispatch"; proto = Shape.Mqtt;
+          left = mqtt_pac ~checked_loop:true ~verify:true ~specialize:true ~step_budget ();
+          right = mqtt_pac ~verify:true ~specialize:true ~step_budget ();
+          agree = same_costs } );
+    ( "mqtt/spec", Shape.Mqtt,
+      fun step_budget ->
+        { pname = "mqtt/spec"; proto = Shape.Mqtt;
           left = mqtt_pac ~verify:false ~specialize:false ~step_budget ();
           right = mqtt_pac ~verify:true ~specialize:true ~step_budget ();
           agree = exact } );
@@ -404,6 +469,12 @@ let pair_specs : (string * Shape.proto * (int -> pair)) list =
     ( "ftp/dispatch", Shape.Ftp,
       fun step_budget ->
         { pname = "ftp/dispatch"; proto = Shape.Ftp;
+          left = ftp_pac ~checked_loop:true ~verify:true ~specialize:true ~step_budget ();
+          right = ftp_pac ~verify:true ~specialize:true ~step_budget ();
+          agree = same_costs } );
+    ( "ftp/spec", Shape.Ftp,
+      fun step_budget ->
+        { pname = "ftp/spec"; proto = Shape.Ftp;
           left = ftp_pac ~verify:false ~specialize:false ~step_budget ();
           right = ftp_pac ~verify:true ~specialize:true ~step_budget ();
           agree = exact } );
@@ -414,18 +485,23 @@ let pair_specs : (string * Shape.proto * (int -> pair)) list =
     ( "dns/dispatch", Shape.Dns,
       fun step_budget ->
         { pname = "dns/dispatch"; proto = Shape.Dns;
+          left = dns_pac ~checked_loop:true ~specialize:true ~step_budget ();
+          right = dns_pac ~specialize:true ~step_budget (); agree = same_costs } );
+    ( "dns/spec", Shape.Dns,
+      fun step_budget ->
+        { pname = "dns/spec"; proto = Shape.Dns;
           left = dns_pac ~specialize:false ~step_budget ();
           right = dns_pac ~specialize:true ~step_budget (); agree = exact } );
   ]
 
 (** The full shipped pair set: cross-parser differentials for MQTT, FTP
-    and DNS, plus checked-vs-specialized VM dispatch differentials for
-    each grammar. *)
+    and DNS, plus, for each grammar, a checked-vs-closure-tier VM dispatch
+    differential and a plain-vs-specialized compiler differential. *)
 let pairs ?(step_budget = default_step_budget) () : pair list =
   List.map (fun (_, _, mk) -> mk step_budget) pair_specs
 
-(** The pairs touching one protocol (both its cross-parser and its
-    dispatch differential). *)
+(** The pairs touching one protocol (its cross-parser, dispatch and
+    specialization differentials). *)
 let pairs_for ?(step_budget = default_step_budget) (p : Shape.proto) : pair list =
   List.filter_map
     (fun (_, proto, mk) -> if proto = p then Some (mk step_budget) else None)

@@ -143,7 +143,11 @@ let create ~prefix =
 let scrape ?ts_ns t =
   if not t.closed then begin
     let ts_ns =
-      match ts_ns with Some ts -> ts | None -> Trace.monotonic_ns ()
+      (* A scrape is stamped with wall-clock time, not the monotonic span
+         clock: its timestamp names a moment, not a duration. *)
+      match ts_ns with
+      | Some ts -> ts
+      | None -> Int64.of_float (Unix.gettimeofday () *. 1e9)
     in
     let samples = Metrics.scrape () in
     output_string t.jsonl (jsonl_line ~ts_ns samples);

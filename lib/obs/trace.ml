@@ -40,7 +40,7 @@ let ring_key : ring Domain.DLS.key =
       Mutex.protect rings_lock (fun () -> rings := r :: !rings);
       r)
 
-let monotonic_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
+let monotonic_ns = Clock.monotonic_ns
 
 let push ev =
   let r = Domain.DLS.get ring_key in

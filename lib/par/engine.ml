@@ -247,6 +247,9 @@ let attach (root : Vm.context) ~domains =
      [Host_api.compile]. *)
   if Array.length root.Vm.program.Bytecode.reuse = 0 then
     ignore (Hilti_vm.Summary.license_frame_reuse root.Vm.program);
+  (* One closure-tier translation, made before the clones exist, serves
+     them all: it holds no per-domain state. *)
+  Vm.load_tier root;
   let clones = Array.init domains (fun _ -> Vm.clone_for_domain root) in
   let pool =
     Domain_pool.create ~domains ~on_start:(fun wid ->

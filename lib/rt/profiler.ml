@@ -50,7 +50,7 @@ let global_cycles () =
   Mutex.protect counters_lock (fun () ->
       List.fold_left (fun acc r -> Int64.add acc (Int64.of_int !r)) 0L !counters)
 
-let monotonic_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
+let monotonic_ns = Hilti_obs.Clock.monotonic_ns
 
 (* Profiler records themselves are not guarded: a profiler name should be
    driven from one domain at a time (concurrent use only fuzzes the
@@ -58,6 +58,12 @@ let monotonic_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
    holds them is shared across domains and is guarded. *)
 let registry_lock = Mutex.create ()
 let registry : (string, t) Hashtbl.t = Hashtbl.create 16
+
+(* Lock-free read path: the records created so far, as an immutable list
+   published after each insertion and emptied by [reset_all].  Timing a
+   block by name (once per event or message in the analyzers) then costs
+   a short scan instead of the registry lock. *)
+let known : t list Atomic.t = Atomic.make []
 
 let find_or_create name =
   Mutex.protect registry_lock (fun () ->
@@ -77,7 +83,15 @@ let find_or_create name =
             }
           in
           Hashtbl.add registry name p;
+          Atomic.set known (p :: Atomic.get known);
           p)
+
+let lookup name =
+  let rec scan = function
+    | p :: rest -> if String.equal p.name name then p else scan rest
+    | [] -> find_or_create name
+  in
+  scan (Atomic.get known)
 
 let name t = t.name
 let invocations t = t.invocations
@@ -140,7 +154,7 @@ let time_exclusive name f =
   let running = running () in
   let saved = !running in
   List.iter stop_raw saved;
-  let p = find_or_create name in
+  let p = lookup name in
   p.invocations <- p.invocations + 1;
   running := [ p ];
   start_raw p;
@@ -152,7 +166,9 @@ let time_exclusive name f =
     f
 
 let reset_all () =
-  Mutex.protect registry_lock (fun () -> Hashtbl.reset registry);
+  Mutex.protect registry_lock (fun () ->
+      Hashtbl.reset registry;
+      Atomic.set known []);
   (running ()) := [];
   Mutex.protect counters_lock (fun () -> List.iter (fun r -> r := 0) !counters)
 

@@ -292,26 +292,40 @@ let match_prefix (it : iter) s =
 (** Byte order for multi-byte integer decoding. *)
 type order = Big | Little
 
-let read_uint (it : iter) ~width ~order =
+(** The unsigned integer in the [width] bytes at [it], without the
+    advanced iterator (and so without allocating a result pair). *)
+let uint_at (it : iter) ~width ~order =
   require it width;
   let t = it.bytes in
-  let byte k = Char.code (Bytes.get t.buf (t.off + it.pos - t.base + k)) in
+  let phys = t.off + it.pos - t.base in
   let v = ref 0L in
   (match order with
-  | Big -> for k = 0 to width - 1 do v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (byte k)) done
-  | Little -> for k = width - 1 downto 0 do v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (byte k)) done);
-  (!v, advance it width)
+  | Big ->
+      for k = 0 to width - 1 do
+        v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code (Bytes.get t.buf (phys + k))))
+      done
+  | Little ->
+      for k = width - 1 downto 0 do
+        v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code (Bytes.get t.buf (phys + k))))
+      done);
+  !v
+
+(** [uint_at], sign-extended from [width] bytes. *)
+let sint_at (it : iter) ~width ~order =
+  let v = uint_at it ~width ~order in
+  let bits = width * 8 in
+  if bits >= 64 then v
+  else
+    let sign = Int64.shift_left 1L (bits - 1) in
+    if Int64.logand v sign <> 0L then Int64.sub v (Int64.shift_left 1L bits) else v
+
+let read_uint (it : iter) ~width ~order =
+  let v = uint_at it ~width ~order in
+  (v, advance it width)
 
 let read_sint (it : iter) ~width ~order =
-  let v, it' = read_uint it ~width ~order in
-  let bits = width * 8 in
-  let v =
-    if bits >= 64 then v
-    else
-      let sign = Int64.shift_left 1L (bits - 1) in
-      if Int64.logand v sign <> 0L then Int64.sub v (Int64.shift_left 1L bits) else v
-  in
-  (v, it')
+  let v = sint_at it ~width ~order in
+  (v, advance it width)
 
 (* Zero-copy sub-views ----------------------------------------------------- *)
 

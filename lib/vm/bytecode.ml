@@ -3,9 +3,17 @@
     Where HILTI's prototype compiles IR to LLVM bitcode and on to native
     code, we lower to a flat array of register operations per function —
     the same pipeline position, with jump targets resolved to instruction
-    indices and all name/type resolution (struct fields, enum labels,
-    bitset masks, overlay layouts, globals' slots) done at lowering time so
-    the execution loop performs no lookups by name. *)
+    indices and most name/type resolution (bitset masks, overlay layouts,
+    globals' slots, callee and host-function indices) done at lowering
+    time.  A few operands still carry names, because what they denote is
+    only fixed once the program is loaded or running: [HookRun] names a
+    hook (its bodies are known after linking), the [ST_*] struct ops name
+    a field (host-built structs may order their fields differently), and
+    [P_enum_from_int] names its enum type.  The closure tier of {!Vm}
+    binds all three once, at load — hooks to their body indices, fields
+    to a checked slot-index cache, enum types to their label sets — so
+    its execution loop performs no lookups by name; the checked oracle
+    loop resolves them per instruction. *)
 
 type int_arith = A_add | A_sub | A_mul | A_div | A_mod | A_shl | A_shr | A_and | A_or | A_xor | A_min | A_max
 
@@ -197,7 +205,8 @@ type instr =
   | Br of int * int * int             (** cond, then-pc, else-pc *)
   | Switch of int * int * (Value.t * int) array
   | Call of int * int array * int     (** func idx, arg regs, dst (-1 = none) *)
-  | CallC of string * int array * int (** host function, arg regs, dst *)
+  | CallC of int * int array * int
+      (** host-function id (index into [program.hosts]), arg regs, dst *)
   | Ret of int                        (** reg, -1 for void *)
   | TryPush of int * int              (** handler pc, exception dst reg *)
   | TryPop
@@ -278,6 +287,11 @@ type program = {
   global_defaults : Value.t array;          (** typed initial values per slot *)
   global_index : (string, int) Hashtbl.t;
   hooks : (string, int list) Hashtbl.t;     (** hook name -> func idxs, priority order *)
+  hosts : string array;
+  (** host-function id -> name: every host ("C") function the program
+      calls, numbered at lowering.  [CallC] carries the id; the VM binds
+      each id to the registered implementation through a per-context slot
+      array, so a call never looks its target up by name. *)
   types : (string, Module_ir.type_decl) Hashtbl.t;
   mutable verified : bool;
   (** set (only) by {!Verify} after every function passed the static
@@ -306,6 +320,10 @@ type program = {
 }
 
 let find_func p name = Hashtbl.find_opt p.func_index name
+
+let host_name p id =
+  if id >= 0 && id < Array.length p.hosts then p.hosts.(id)
+  else Printf.sprintf "#%d" id
 
 (** Rough static instruction count, for reporting. *)
 let code_size p =
@@ -338,7 +356,7 @@ let instr_to_string (i : instr) =
               (fun (c, pc) -> Printf.sprintf "%s->%d" (Value.to_string c) pc)
               (Array.to_list cases)))
   | Call (f, args, d) -> Printf.sprintf "r%d <- call #%d (%s)" d f (regs args)
-  | CallC (n, args, d) -> Printf.sprintf "r%d <- callc %s (%s)" d n (regs args)
+  | CallC (n, args, d) -> Printf.sprintf "r%d <- callc host#%d (%s)" d n (regs args)
   | Ret r -> if r < 0 then "ret" else Printf.sprintf "ret r%d" r
   | TryPush (pc, r) -> Printf.sprintf "try.push @%d -> r%d" pc r
   | TryPop -> "try.pop"

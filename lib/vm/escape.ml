@@ -209,9 +209,9 @@ let analyze (p : Bytecode.program) : result =
                   add_contents (Param (callee, j)) (sites a))
               args)
           (Option.value ~default:[] (Hashtbl.find_opt p.Bytecode.hooks name))
-    | Bytecode.CallC (name, args, d) ->
+    | Bytecode.CallC (h, args, d) ->
         let retained =
-          match Effects.host_effects name with
+          match Effects.host_effects (Bytecode.host_name p h) with
           | None -> true (* unknown: assume it keeps everything *)
           | Some h -> h.Effects.hf_sink
         in

@@ -22,9 +22,9 @@ exception Compile_error of string list
       on success the VM uses the fast dispatch loop that skips the checks
       the verifier discharged
     @param specialize rewrite verified bytecode onto unboxed int/float
-      register banks and fuse hot instruction pairs (default on; effective
-      only together with [verify], whose typing export drives the bank
-      assignment)
+      register banks and fuse hot instruction pairs, then translate it to
+      the VM's closure tier (default on; effective only together with
+      [verify], whose typing export drives the bank assignment)
     @param frame_reuse run the interprocedural summary analysis
       ({!Summary.license_frame_reuse}) and let the VM recycle a per-worker
       arena frame for every function the analysis proves safe (default on;
@@ -51,6 +51,7 @@ let compile ?(optimize = true) ?(validate = true) ?(verify = true)
     if frame_reuse then ignore (Summary.license_frame_reuse program)
   end;
   let ctx = Vm.create program in
+  Vm.load_tier ctx;
   (* The standard library surface host applications always get. *)
   Vm.register_host ctx "Hilti::print" (fun c args ->
       c.Vm.debug_sink (String.concat ", " (List.map Value.to_string args));
@@ -58,6 +59,12 @@ let compile ?(optimize = true) ?(validate = true) ?(verify = true)
   Vm.register_host ctx "Hilti::abort" (fun _ _ ->
       raise (Value.hilti_exception "Hilti::Abort" Value.Null));
   { ctx; opt_stats; linked }
+
+(** Run this environment on the VM's checked oracle loop from now on,
+    whatever the program's verification and specialization: differential
+    tests compare it with the closure tier on identical bytecode, where
+    results, instructions retired and runtime checks must all agree. *)
+let use_checked_loop t = t.ctx.Vm.force_checked <- true
 
 (** Redirect [Hilti::print] / [debug.msg] output (e.g. into a buffer). *)
 let set_output t sink = t.ctx.Vm.debug_sink <- sink
@@ -73,6 +80,27 @@ let call t name args = Vm.call t.ctx name args
 
 (** Run a hook by name. *)
 let run_hook t name args = Vm.run_hook t.ctx name args
+
+(** A hook resolved once to its bodies, for hosts that run the same hook
+    repeatedly (e.g. once per event); [None] when it has no bodies. *)
+type hook = int array
+
+let hook t name : hook option =
+  match Vm.hook_bodies t.ctx.Vm.program name with [||] -> None | b -> Some b
+
+let run_resolved_hook t (h : hook) args = Vm.run_hook_bodies t.ctx h args
+
+(** An exported function resolved once to its index, for hosts that call
+    it repeatedly (e.g. a parser entry once per message). *)
+type func = int
+
+let func t name : func =
+  match Bytecode.find_func t.ctx.Vm.program name with
+  | Some idx -> idx
+  | None -> raise (Vm.Runtime_error ("unknown function " ^ name))
+
+(** Call a resolved function on the executing domain's context. *)
+let call_func t (f : func) args = Vm.exec_func (Vm.exec_context t.ctx) f args
 
 (** Abstract-cycle counter (the PAPI stand-in). *)
 let cycles t = Vm.instr_count t.ctx

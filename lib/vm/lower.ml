@@ -103,6 +103,9 @@ type fctx = {
   global_index : (string, int) Hashtbl.t;
   fname_index : (string, int) Hashtbl.t;  (* resolved HILTI functions *)
   c_funcs : (string, unit) Hashtbl.t;     (* declared host functions *)
+  host_ids : (string, int) Hashtbl.t;
+      (* host-function name -> id, shared by every function of the module:
+         ids are numbered in order of first call *)
   (* Constant pool: each distinct constant lives in a dedicated register
      initialized with the frame (no per-use Const instructions). *)
   const_regs : (Constant.t, int) Hashtbl.t;
@@ -310,8 +313,17 @@ let lower_instr ctx (i : Instr.t) =
     | Some idx ->
         store_target ctx dst_wanted (fun dst -> emit ctx (P (Call (idx, arg_regs, dst))))
     | None ->
-        (* Unknown at link time: a host-application ("C") function. *)
-        store_target ctx dst_wanted (fun dst -> emit ctx (P (CallC (f, arg_regs, dst))))
+        (* Unknown at link time: a host-application ("C") function,
+           called through its id. *)
+        let id =
+          match Hashtbl.find_opt ctx.host_ids f with
+          | Some id -> id
+          | None ->
+              let id = Hashtbl.length ctx.host_ids in
+              Hashtbl.add ctx.host_ids f id;
+              id
+        in
+        store_target ctx dst_wanted (fun dst -> emit ctx (P (CallC (id, arg_regs, dst))))
   in
   match (group, sub) with
   (* ---- flow ------------------------------------------------------------- *)
@@ -661,7 +673,7 @@ let resolve_labels (pres : pre list) (block_offsets : (string, int) Hashtbl.t) =
       | PTryPush (l, r) -> TryPush (resolve l, r))
     pres
 
-let lower_func types global_index fname_index c_funcs internal_name
+let lower_func types global_index fname_index c_funcs host_ids internal_name
     (f : Module_ir.func) : Bytecode.func =
   let ctx =
     {
@@ -674,6 +686,7 @@ let lower_func types global_index fname_index c_funcs internal_name
       global_index;
       fname_index;
       c_funcs;
+      host_ids;
       const_regs = Hashtbl.create 16;
       const_inits = [];
     }
@@ -750,6 +763,7 @@ let lower_module (m : Module_ir.t) : Bytecode.program =
     (fun i (f : Module_ir.func) -> Hashtbl.replace fname_index f.Module_ir.fname i)
     hilti_funcs;
   let nfuncs = List.length hilti_funcs in
+  let host_ids = Hashtbl.create 8 in
   (* Hook bodies get stable internal names and indices after functions,
      ordered by descending priority (the cross-unit hook merge). *)
   let hook_bodies =
@@ -767,13 +781,13 @@ let lower_module (m : Module_ir.t) : Bytecode.program =
   let lowered_funcs =
     List.map
       (fun (f : Module_ir.func) ->
-        lower_func types global_index fname_index c_funcs f.Module_ir.fname f)
+        lower_func types global_index fname_index c_funcs host_ids f.Module_ir.fname f)
       hilti_funcs
   in
   let lowered_hooks =
     List.mapi
       (fun i (h : Module_ir.func) ->
-        lower_func types global_index fname_index c_funcs
+        lower_func types global_index fname_index c_funcs host_ids
           (Printf.sprintf "%s#%d" h.Module_ir.fname i)
           h)
       hook_bodies
@@ -781,5 +795,7 @@ let lower_module (m : Module_ir.t) : Bytecode.program =
   let funcs = Array.of_list (lowered_funcs @ lowered_hooks) in
   let func_index = Hashtbl.create 32 in
   Array.iteri (fun i (f : Bytecode.func) -> Hashtbl.replace func_index f.name i) funcs;
+  let hosts = Array.make (Hashtbl.length host_ids) "" in
+  Hashtbl.iter (fun n id -> hosts.(id) <- n) host_ids;
   { funcs; func_index; globals; global_defaults; global_index; hooks = hooks_table;
-    types; verified = false; specialized = false; reuse = [||]; reuse_susp = [||] }
+    hosts; types; verified = false; specialized = false; reuse = [||]; reuse_susp = [||] }

@@ -174,7 +174,8 @@ let callgraph (p : Bytecode.program) : callgraph =
                 (Option.value ~default:[] (Hashtbl.find_opt p.Bytecode.hooks name))
           | Bytecode.Bind (callee, _, _) | Bytecode.Schedule (callee, _, _) ->
               add async i callee
-          | Bytecode.CallC (name, _, _) -> hosts.(i) <- (name, pc) :: hosts.(i)
+          | Bytecode.CallC (h, _, _) ->
+              hosts.(i) <- (Bytecode.host_name p h, pc) :: hosts.(i)
           | _ -> ())
         f.Bytecode.code)
     p.Bytecode.funcs;
@@ -193,7 +194,8 @@ let local_summary (p : Bytecode.program) (fidx : int) : t =
           upd (fun s -> { s with reads_globals = IntSet.add slot s.reads_globals })
       | Bytecode.StoreGlobal (slot, _) ->
           upd (fun s -> { s with writes_globals = IntSet.add slot s.writes_globals })
-      | Bytecode.CallC (name, _, _) ->
+      | Bytecode.CallC (h, _, _) ->
+          let name = Bytecode.host_name p h in
           upd (fun s ->
               let s = { s with host_calls = StrSet.add name s.host_calls } in
               match Effects.host_effects name with

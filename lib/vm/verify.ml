@@ -344,7 +344,10 @@ let verify_func (p : program) (f : func) : int * string list =
           end;
           Array.iteri (fun i r -> ignore (use st pc r (Printf.sprintf "call arg %d" i))) args;
           def st pc d Any
-      | CallC (_, args, d) ->
+      | CallC (h, args, d) ->
+          incr checks;
+          if h < 0 || h >= Array.length p.hosts then
+            err pc "host-function id %d out of range [0,%d)" h (Array.length p.hosts);
           Array.iteri (fun i r -> ignore (use st pc r (Printf.sprintf "callc arg %d" i))) args;
           def st pc d Any
       | Ret r ->

@@ -91,7 +91,10 @@ type arena_slot = {
 
 type context = {
   program : Bytecode.program;
-  host_funcs : (string, context -> Value.t list -> Value.t) Hashtbl.t;
+  host_slots : host_fn array;
+      (* host-function id ([Bytecode.program.hosts]) -> implementation;
+         [register_host] fills it, so a [CallC] is one array load.  Shared
+         with the domain clones. *)
   scheduler : Hilti_rt.Scheduler.t;
   vthread_globals : (int64, Value.t array) Hashtbl.t;
   mutable current_thread : int64;
@@ -105,14 +108,46 @@ type context = {
       (* frame arena, indexed by func idx; [[||]] until first licensed
          activation.  Never shared: each domain clone owns its own. *)
   parent : context option;             (* Some root for per-domain clones *)
+  mutable force_checked : bool;
+      (* run every activation on the checked oracle loop, whatever the
+         program's verification and specialization (differential tests
+         compare it with the tier on identical bytecode) *)
+  tier : tfunc array option Atomic.t;
+      (* the closure-compiled tier of a specialized program, built once
+         ({!load_tier}) and shared with every domain clone: translations
+         hold no context, frame or bank *)
+}
+
+and host_fn = context -> Value.t list -> Value.t
+
+(* One translated function: [t_code.(pc)] executes bytecode instruction
+   [pc] against an activation and returns the next pc ([-1] after [Ret]). *)
+and tfunc = {
+  t_idx : int;
+  t_func : Bytecode.func;
+  t_code : (act -> int) array;
+  t_groups : int array;  (** opcode group per pc, for the obs tally *)
+}
+
+(* A tier activation: the executing context plus the frame and banks. *)
+and act = {
+  actx : context;
+  aregs : Value.t array;
+  aibank : Bytes.t;
+  afbank : float array;
+  mutable atries : (int * int) list;  (* handler pc, exception register *)
+  mutable aresult : Value.t;
 }
 
 let main_thread_id = 0L
 
+let unresolved_host name : host_fn =
+ fun _ _ -> fail "unresolved host function %s" name
+
 let create program =
   {
     program;
-    host_funcs = Hashtbl.create 16;
+    host_slots = Array.map unresolved_host program.hosts;
     scheduler = Hilti_rt.Scheduler.create ();
     vthread_globals = Hashtbl.create 8;
     current_thread = main_thread_id;
@@ -124,17 +159,25 @@ let create program =
     debug_sink = (fun s -> print_endline s);
     arena = [||];
     parent = None;
+    force_checked = false;
+    tier = Atomic.make None;
   }
 
-let register_host ctx name fn = Hashtbl.replace ctx.host_funcs name fn
+(* Binds [fn] to every [CallC] of [name]; a later registration replaces
+   an earlier one.  A name the program never calls has no slot. *)
+let register_host ctx name fn =
+  Array.iteri
+    (fun id n -> if String.equal n name then ctx.host_slots.(id) <- fn)
+    ctx.program.hosts
 
 let instr_count ctx = Int64.of_int ctx.instr_count
 
 (* ---- Per-domain execution contexts (the parallel engine) --------------------- *)
 
-(* A domain clone shares the immutable program, the host-function table and
-   the scheduler, but owns the mutable execution state (current thread,
-   globals table/cache, instruction counter).  [Hilti_par] makes one clone
+(* A domain clone shares the immutable program, the host-function slots,
+   the closure-tier translation and the scheduler, but owns the mutable
+   execution state (current thread, globals table/cache, instruction
+   counter, frame arena).  [Hilti_par] makes one clone
    per worker domain and registers it in domain-local storage; every VM
    entry point then resolves the context it was handed to the clone of the
    domain it is actually executing on, so jobs, callables and fibers can
@@ -203,16 +246,46 @@ let current_timer_mgr ctx =
 (** Run [f], suspending the enclosing fiber while it signals that more
     input is needed.  Outside a fiber the suspension cannot happen, so the
     condition surfaces as Hilti::WouldBlock. *)
+let suspend () =
+  match Hilti_rt.Fiber.yield () with
+  | () -> ()
+  | exception Effect.Unhandled _ -> raise (Value.would_block ())
+
 let blocking f =
   let rec go () =
     match f () with
     | v -> v
-    | exception Hilti_types.Hbytes.Would_block -> (
-        match Hilti_rt.Fiber.yield () with
-        | () -> go ()
-        | exception Effect.Unhandled _ -> raise (Value.would_block ()))
+    | exception Hilti_types.Hbytes.Would_block ->
+        suspend ();
+        go ()
   in
   go ()
+
+(* Blocking bytes reads shared by [exec_prim] and the closure tier: the
+   retry loop is written out, so a read allocates no [blocking] closure
+   and no intermediate pair, and extracted data becomes a frozen object
+   without a copy. *)
+let rec bytes_read (it : Hilti_types.Hbytes.iter) n =
+  let open Hilti_types in
+  match Hbytes.require it n with
+  | () ->
+      let it' = Hbytes.advance it n in
+      Value.Tuple
+        [| Value.Bytes (Hbytes.frozen_of_string (Hbytes.sub it it'));
+           Value.Iter (Value.Ibytes it') |]
+  | exception Hbytes.Would_block ->
+      suspend ();
+      bytes_read it n
+
+let rec bytes_unpack ~signed (it : Hilti_types.Hbytes.iter) ~width ~order =
+  let open Hilti_types in
+  match
+    if signed then Hbytes.sint_at it ~width ~order else Hbytes.uint_at it ~width ~order
+  with
+  | v -> Value.Tuple [| Value.Int v; Value.Iter (Value.Ibytes (Hbytes.advance it width)) |]
+  | exception Hbytes.Would_block ->
+      suspend ();
+      bytes_unpack ~signed it ~width ~order
 
 (* ---- Int semantics ------------------------------------------------------------ *)
 
@@ -372,6 +445,21 @@ let acquire_frame ctx (fidx : int) (f : Bytecode.func) : arena_slot option =
   end
 
 let release_frame = function Some s -> s.a_busy <- false | None -> ()
+
+(* The register banks an activation starts from: its arena slot's
+   ([acquire_frame] already blitted the templates over them) or fresh
+   copies of the function's templates. *)
+let activation_ibank slot (f : Bytecode.func) =
+  match (slot, f.spec) with
+  | Some s, _ -> s.a_ibank
+  | None, Some sp -> Bytes.copy sp.ibank_init
+  | None, None -> Bytes.empty
+
+let activation_fbank slot (f : Bytecode.func) =
+  match (slot, f.spec) with
+  | Some s, _ -> s.a_fbank
+  | None, Some sp -> Array.copy sp.fbank_init
+  | None, None -> [||]
 
 (* Unchecked 64-bit bank accesses for the specialized dispatch loop:
    {!Verify} type-checks every specialized opcode's slot against the bank
@@ -676,9 +764,7 @@ and exec_bytes op args =
       Value.Null
   | B_sub ->
       let i1 = Value.as_bytes_iter (a 0) and i2 = Value.as_bytes_iter (a 1) in
-      let b = Hbytes.of_string (Hbytes.sub i1 i2) in
-      Hbytes.freeze b;
-      Value.Bytes b
+      Value.Bytes (Hbytes.frozen_of_string (Hbytes.sub i1 i2))
   | B_find -> (
       let from =
         match a 0 with
@@ -716,10 +802,7 @@ and exec_bytes op args =
   | B_read ->
       let it = Value.as_bytes_iter (a 0) and n = Value.as_int_i (a 1) in
       if n < 0 then raise (Value.value_error "bytes.read: negative length");
-      let data, it' = blocking (fun () -> Hbytes.read it n) in
-      let b = Hbytes.of_string data in
-      Hbytes.freeze b;
-      Value.Tuple [| Value.Bytes b; Value.Iter (Value.Ibytes it') |]
+      bytes_read it n
   | B_to_string -> Value.String (Hbytes.to_string (Value.as_bytes (a 0)))
   | B_to_int -> (
       let s = String.trim (Hbytes.to_string (Value.as_bytes (a 0))) in
@@ -767,9 +850,7 @@ and exec_bytes op args =
       let it = Value.as_bytes_iter (a 0) in
       let width = Value.as_int_i (a 1) in
       let order = if Value.as_bool (a 2) then Hbytes.Big else Hbytes.Little in
-      let read = if op = B_unpack_uint then Hbytes.read_uint else Hbytes.read_sint in
-      let v, it' = blocking (fun () -> read it ~width ~order) in
-      Value.Tuple [| Value.Int v; Value.Iter (Value.Ibytes it') |]
+      bytes_unpack ~signed:(op = B_unpack_sint) it ~width ~order
   | B_upper ->
       let b = Hbytes.of_string (String.uppercase_ascii (Hbytes.to_string (Value.as_bytes (a 0)))) in
       Hbytes.freeze b;
@@ -1232,9 +1313,7 @@ and exec_overlay ctx spec args =
   match spec.ov_fmt with
   | Module_ir.U_bytes n ->
       let data, _ = blocking (fun () -> Hbytes.read fit n) in
-      let b = Hbytes.of_string data in
-      Hbytes.freeze b;
-      Value.Bytes b
+      Value.Bytes (Hbytes.frozen_of_string data)
   | Module_ir.U_ipv4 ->
       let v, _ = blocking (fun () -> Hbytes.read_uint fit ~width:4 ~order:Hbytes.Big) in
       Value.Addr (Addr.of_ipv4_int32 (Int64.to_int32 v))
@@ -1276,18 +1355,176 @@ and exec_file ctx op args =
       Hilti_rt.Hfile.close (Value.as_file (a 0));
       Value.Null
 
-(* ---- The dispatch loop ------------------------------------------------------------ *)
+(* ---- Primitive failure mapping -------------------------------------------------- *)
 
-(* Two handwritten copies of the dispatch loop: [exec_func_checked] with
-   ordinary (bounds-checked) array accesses, and [exec_func_verified]
-   using [Array.unsafe_get]/[unsafe_set] for registers, code fetch and
-   globals — every one of those accesses was proven in range by {!Verify}
-   before [program.verified] was set.  A functor would express this once,
-   but without flambda the functor call stays indirect in the hottest
-   loop, which is exactly the cost verified mode exists to remove. *)
+(* Substrate-level exceptions surface as HILTI exceptions so generated
+   code can catch them; everything else passes through unchanged. *)
+let substrate_exn = function
+  | Hilti_types.Hbytes.Out_of_range -> Value.value_error "bytes: out of range"
+  | Hilti_types.Hbytes.Frozen -> Value.value_error "bytes: frozen"
+  | Hilti_rt.Regexp.Parse_error msg -> Value.value_error msg
+  | Invalid_argument msg ->
+      (* Hostile field values (e.g. a lying length that goes negative)
+         reach substrate primitives; surface them as a catchable HILTI
+         exception, not a raw OCaml crash. *)
+      Value.value_error ("prim: " ^ msg)
+  | e -> e
 
-and exec_func ctx (fidx : int) (args : Value.t list) : Value.t =
-  if ctx.program.specialized then exec_func_spec ctx fidx args
+let guarded_prim ctx p args =
+  try exec_prim ctx p args with e -> raise (substrate_exn e)
+
+(** A hook's body function indices, in priority order ([[||]] when the
+    hook has no bodies). *)
+let hook_bodies (p : Bytecode.program) name =
+  match Hashtbl.find_opt p.hooks name with
+  | Some idxs -> Array.of_list idxs
+  | None -> [||]
+
+(* ---- Closure-tier building blocks ------------------------------------------------ *)
+
+(* Register reads and writes of the tier.  {!Verify} proved every register
+   operand in range, as for the verified loop; [-1] is the "discard"
+   destination. *)
+let[@inline always] get (r : Value.t array) i = Array.unsafe_get r i
+
+let[@inline always] set (r : Value.t array) d v = if d >= 0 then Array.unsafe_set r d v
+
+let[@inline always] vbool b = if b then vtrue else vfalse
+
+(* Operand marshalling without an [Array.map] closure. *)
+let args_array (r : Value.t array) (ar : int array) =
+  let n = Array.length ar in
+  if n = 0 then [||]
+  else begin
+    let out = Array.make n (get r (Array.unsafe_get ar 0)) in
+    for i = 1 to n - 1 do
+      Array.unsafe_set out i (get r (Array.unsafe_get ar i))
+    done;
+    out
+  end
+
+let args_list (r : Value.t array) (ar : int array) =
+  let rec go i acc = if i < 0 then acc else go (i - 1) (get r (Array.unsafe_get ar i) :: acc) in
+  go (Array.length ar - 1) []
+
+(* Per-instruction struct-slot cache.  [hint] is the field's index in the
+   struct last seen here; a hit is checked against the field name, and a
+   miss (a struct of another layout, e.g. one built by the host in sorted
+   field order) falls back to the scan and re-learns the index.  The hint
+   is the one mutable word a translation owns: domains sharing the
+   translation may race on it, which costs at most a re-scan. *)
+type slot_cache = { mutable hint : int }
+
+let cached_field (c : slot_cache) name (s : Value.strukt) =
+  let fs = s.Value.sfields in
+  let h = c.hint in
+  let n = Array.length fs in
+  if h < n && String.equal (fst (Array.unsafe_get fs h)) name then
+    snd (Array.unsafe_get fs h)
+  else begin
+    let rec scan i =
+      if i >= n then Value.struct_field s name (* raises UnsetField *)
+      else
+        let fname, f = Array.unsafe_get fs i in
+        if String.equal fname name then begin
+          c.hint <- i;
+          f
+        end
+        else scan (i + 1)
+    in
+    scan 0
+  end
+
+(* Bank arithmetic, inlined into each closure so int64/float operands stay
+   unboxed (without flambda a real call would box them).  [iarith]'s
+   int64 result is boxed where its arms join, so only the checked loop
+   uses it; the tier stores in each arm ([iarith_set]).  [sh] is
+   [64 - width] for sub-64-bit widths and 0 otherwise: the sign-extending
+   wrap of [wrap] without its branch. *)
+let[@inline always] wrap_sh sh r = Int64.shift_right (Int64.shift_left r sh) sh
+
+let[@inline always] iarith op (x : int64) (y : int64) =
+  match op with
+  | A_add -> Int64.add x y
+  | A_sub -> Int64.sub x y
+  | A_mul -> Int64.mul x y
+  | A_div -> if y = 0L then raise (Value.division_by_zero ()) else Int64.div x y
+  | A_mod -> if y = 0L then raise (Value.division_by_zero ()) else Int64.rem x y
+  | A_shl -> Int64.shift_left x (Int64.to_int y land 63)
+  | A_shr -> Int64.shift_right_logical x (Int64.to_int y land 63)
+  | A_and -> Int64.logand x y
+  | A_or -> Int64.logor x y
+  | A_xor -> Int64.logxor x y
+  | A_min -> if x <= y then x else y
+  | A_max -> if x >= y then x else y
+
+(* [iarith] storing its result into int-bank slot [d], wrapped to the
+   width: the tier's closures use this form, since every arm ends in the
+   store, no int64 crosses a join and nothing is boxed. *)
+let[@inline always] iarith_set b d sh op (x : int64) (y : int64) =
+  match op with
+  | A_add -> ibank_set b d (wrap_sh sh (Int64.add x y))
+  | A_sub -> ibank_set b d (wrap_sh sh (Int64.sub x y))
+  | A_mul -> ibank_set b d (wrap_sh sh (Int64.mul x y))
+  | A_div ->
+      if y = 0L then raise (Value.division_by_zero ())
+      else ibank_set b d (wrap_sh sh (Int64.div x y))
+  | A_mod ->
+      if y = 0L then raise (Value.division_by_zero ())
+      else ibank_set b d (wrap_sh sh (Int64.rem x y))
+  | A_shl -> ibank_set b d (wrap_sh sh (Int64.shift_left x (Int64.to_int y land 63)))
+  | A_shr ->
+      ibank_set b d (wrap_sh sh (Int64.shift_right_logical x (Int64.to_int y land 63)))
+  | A_and -> ibank_set b d (wrap_sh sh (Int64.logand x y))
+  | A_or -> ibank_set b d (wrap_sh sh (Int64.logor x y))
+  | A_xor -> ibank_set b d (wrap_sh sh (Int64.logxor x y))
+  | A_min -> ibank_set b d (wrap_sh sh (if x <= y then x else y))
+  | A_max -> ibank_set b d (wrap_sh sh (if x >= y then x else y))
+
+let[@inline always] icmp c (x : int64) (y : int64) =
+  match c with
+  | C_eq -> Int64.equal x y
+  | C_lt -> x < y
+  | C_gt -> x > y
+  | C_leq -> x <= y
+  | C_geq -> x >= y
+
+(* Float.compare, not the native comparisons: NaN ordering must match the
+   generic [P_double_cmp] path exactly. *)
+let[@inline always] fcmp c (x : float) (y : float) = compare_by c (Float.compare x y)
+
+let[@inline always] farith op (x : float) (y : float) =
+  match op with
+  | A_add -> x +. y
+  | A_sub -> x -. y
+  | A_mul -> x *. y
+  | A_div -> if y = 0. then raise (Value.division_by_zero ()) else x /. y
+  | _ -> fail "double arith"
+
+(* ---- The dispatch loops ------------------------------------------------------------ *)
+
+(* Three execution paths share one instruction semantics:
+   - [exec_func_checked], the oracle: ordinary (bounds-checked) array
+     accesses, names resolved per instruction.  It runs unverified
+     programs, and any program — specialized code included — when the
+     context asks for it ([force_checked]);
+   - [exec_func_verified], for verified programs that were not
+     specialized ([Host_api.compile ~specialize:false]): a copy of the
+     checked loop whose register, code and globals accesses are unchecked
+     ({!Verify} proved them in range);
+   - the closure tier ([tier_*] below), for every verified and specialized
+     program — the default.  At load each function becomes an array of
+     closures, one per bytecode instruction, with operands, bank offsets,
+     resolved primitive implementations, hook bodies, host-function ids
+     and struct-slot caches bound in; running a function is a loop over
+     [pc <- code.(pc) act].
+   All three retire and count exactly one bytecode instruction per step
+   ([instr_count], [cycles], the step budget and the obs op groups), so
+   they are interchangeable under the differential tests. *)
+
+let rec exec_func ctx (fidx : int) (args : Value.t list) : Value.t =
+  if ctx.force_checked then exec_func_checked ctx fidx args
+  else if ctx.program.specialized then tier_exec ctx fidx args
   else if ctx.program.verified then exec_func_verified ctx fidx args
   else exec_func_checked ctx fidx args
 
@@ -1299,6 +1536,11 @@ and exec_func_checked ctx (fidx : int) (args : Value.t list) : Value.t =
   in
   let frame = { regs; pc = 0; tries = [] } in
   List.iteri (fun i v -> if i < f.nregs then frame.regs.(i) <- v) args;
+  (* Register banks, for specialized programs: bounds-checked here, so the
+     oracle also checks the slots {!Verify} vouched for. *)
+  let ibank = activation_ibank slot f and fbank = activation_fbank slot f in
+  let iget x = Bytes.get_int64_ne ibank (x lsl 3) in
+  let iset d v = Bytes.set_int64_ne ibank (d lsl 3) v in
   let code = f.code in
   let result = ref Value.Null in
   let running = ref true in
@@ -1350,13 +1592,13 @@ and exec_func_checked ctx (fidx : int) (args : Value.t list) : Value.t =
            let r = exec_func ctx callee args in
            setreg frame dst r;
            frame.pc <- next
-       | CallC (name, arg_regs, dst) -> (
-           match Hashtbl.find_opt ctx.host_funcs name with
-           | Some fn ->
-               let args = Array.to_list (Array.map (reg frame) arg_regs) in
-               setreg frame dst (fn ctx args);
-               frame.pc <- next
-           | None -> fail "unresolved host function %s" name)
+       | CallC (h, arg_regs, dst) ->
+           if h < 0 || h >= Array.length ctx.host_slots then
+             fail "host-function id %d out of range" h;
+           let fn = ctx.host_slots.(h) in
+           let args = Array.to_list (Array.map (reg frame) arg_regs) in
+           setreg frame dst (fn ctx args);
+           frame.pc <- next
        | Ret r ->
            result := (if r >= 0 then reg frame r else Value.Null);
            running := false
@@ -1404,31 +1646,68 @@ and exec_func_checked ctx (fidx : int) (args : Value.t list) : Value.t =
            frame.pc <- next
        | Prim (p, arg_regs, dst) ->
            let args = Array.map (reg frame) arg_regs in
-           let v =
-             (* Substrate-level exceptions surface as HILTI exceptions so
-                generated code can catch them. *)
-             try exec_prim ctx p args with
-             | Hilti_types.Hbytes.Out_of_range ->
-                 raise (Value.value_error "bytes: out of range")
-             | Hilti_types.Hbytes.Frozen ->
-                 raise (Value.value_error "bytes: frozen")
-             | Hilti_rt.Regexp.Parse_error msg -> raise (Value.value_error msg)
-             | Invalid_argument msg ->
-                 (* Hostile field values (e.g. a lying length that goes
-                    negative) reach substrate primitives; surface them as a
-                    catchable HILTI exception, not a raw OCaml crash. *)
-                 raise (Value.value_error ("prim: " ^ msg))
-           in
-           setreg frame dst v;
+           setreg frame dst (guarded_prim ctx p args);
            frame.pc <- next
        | Nop -> frame.pc <- next
-       | IConst_u _ | IMov_u _ | UnboxI _ | BoxI _ | IArith_u _ | IArithK_u _
-       | ICmp_u _ | ICmpK_u _ | IBrCmp_u _ | IBrCmpK_u _ | IIncrJ_u _
-       | FConst_u _ | FMov_u _ | UnboxF _ | BoxF _ | FArith_u _ | FCmp_u _
-       | FBrCmp_u _ ->
-           (* Specialized programs are routed to [exec_func_spec]; a bank
-              opcode reaching this loop is a dispatch bug, not user error. *)
-           fail "specialized opcode in %s outside specialized dispatch" f.name
+       (* ---- Int bank ---- *)
+       | IConst_u (d, k) ->
+           iset d k;
+           frame.pc <- next
+       | IMov_u (d, s) ->
+           iset d (iget s);
+           frame.pc <- next
+       | UnboxI (d, s) ->
+           (* Mirrors [Value.as_int] so failure counting matches the
+              generic path. *)
+           (match reg frame s with
+           | Value.Int k -> iset d k
+           | v -> raise (Value.type_error ("int: " ^ Value.to_string v)));
+           frame.pc <- next
+       | BoxI (d, s) ->
+           setreg frame d (Value.Int (iget s));
+           frame.pc <- next
+       | IArith_u (op, w, d, x, y) ->
+           iset d (wrap w (iarith op (iget x) (iget y)));
+           frame.pc <- next
+       | IArithK_u (op, w, d, x, k) ->
+           iset d (wrap w (iarith op (iget x) k));
+           frame.pc <- next
+       | ICmp_u (c, d, x, y) ->
+           setreg frame d (vbool (icmp c (iget x) (iget y)));
+           frame.pc <- next
+       | ICmpK_u (c, d, x, k) ->
+           setreg frame d (vbool (icmp c (iget x) k));
+           frame.pc <- next
+       | IBrCmp_u (c, x, y, t, e) -> frame.pc <- (if icmp c (iget x) (iget y) then t else e)
+       | IBrCmpK_u (c, x, k, t, e) -> frame.pc <- (if icmp c (iget x) k then t else e)
+       | IIncrJ_u (w, d, k, t) ->
+           iset d (wrap w (Int64.add (iget d) k));
+           frame.pc <- t
+       (* ---- Float bank ---- *)
+       | FConst_u (d, k) ->
+           fbank.(d) <- k;
+           frame.pc <- next
+       | FMov_u (d, s) ->
+           fbank.(d) <- fbank.(s);
+           frame.pc <- next
+       | UnboxF (d, s) ->
+           (* Mirrors [Value.as_double], including the int coercion. *)
+           (match reg frame s with
+           | Value.Double x -> fbank.(d) <- x
+           | Value.Int k -> fbank.(d) <- Int64.to_float k
+           | v -> raise (Value.type_error ("double: " ^ Value.to_string v)));
+           frame.pc <- next
+       | BoxF (d, s) ->
+           setreg frame d (Value.Double fbank.(s));
+           frame.pc <- next
+       | FArith_u (op, d, x, y) ->
+           fbank.(d) <- farith op fbank.(x) fbank.(y);
+           frame.pc <- next
+       | FCmp_u (c, d, x, y) ->
+           setreg frame d (vbool (fcmp c fbank.(x) fbank.(y)));
+           frame.pc <- next
+       | FBrCmp_u (c, x, y, t, e) ->
+           frame.pc <- (if fcmp c fbank.(x) fbank.(y) then t else e)
      with Value.Hilti_error e when frame.tries <> [] && e.Value.ename <> "Hilti::HookStop" ->
        let handler, exc_reg = List.hd frame.tries in
        frame.tries <- List.tl frame.tries;
@@ -1444,6 +1723,8 @@ and exec_func_checked ctx (fidx : int) (args : Value.t list) : Value.t =
       Array.iteri
         (fun g n -> if n > 0 then Hilti_obs.Metrics.add m_opgroup.(g) n)
         ops;
+      if ops.(bridge_group) > 0 then
+        Hilti_obs.Metrics.add m_regbank_transfers ops.(bridge_group);
       Hilti_obs.Metrics.observe m_func_instrs (ctx.instr_count - instrs_at_entry)
   | None -> ());
   !result
@@ -1507,13 +1788,11 @@ and exec_func_verified ctx (fidx : int) (args : Value.t list) : Value.t =
            let r = exec_func_verified ctx callee args in
            usetreg frame dst r;
            frame.pc <- next
-       | CallC (name, arg_regs, dst) -> (
-           match Hashtbl.find_opt ctx.host_funcs name with
-           | Some fn ->
-               let args = Array.to_list (Array.map (ureg frame) arg_regs) in
-               usetreg frame dst (fn ctx args);
-               frame.pc <- next
-           | None -> fail "unresolved host function %s" name)
+       | CallC (h, arg_regs, dst) ->
+           let fn = Array.unsafe_get ctx.host_slots h in
+           let args = Array.to_list (Array.map (ureg frame) arg_regs) in
+           usetreg frame dst (fn ctx args);
+           frame.pc <- next
        | Ret r ->
            result := (if r >= 0 then ureg frame r else Value.Null);
            running := false
@@ -1558,26 +1837,16 @@ and exec_func_verified ctx (fidx : int) (args : Value.t list) : Value.t =
            frame.pc <- next
        | Prim (p, arg_regs, dst) ->
            let args = Array.map (ureg frame) arg_regs in
-           let v =
-             try exec_prim ctx p args with
-             | Hilti_types.Hbytes.Out_of_range ->
-                 raise (Value.value_error "bytes: out of range")
-             | Hilti_types.Hbytes.Frozen ->
-                 raise (Value.value_error "bytes: frozen")
-             | Hilti_rt.Regexp.Parse_error msg -> raise (Value.value_error msg)
-             | Invalid_argument msg ->
-                 (* Hostile field values (e.g. a lying length that goes
-                    negative) reach substrate primitives; surface them as a
-                    catchable HILTI exception, not a raw OCaml crash. *)
-                 raise (Value.value_error ("prim: " ^ msg))
-           in
-           usetreg frame dst v;
+           usetreg frame dst (guarded_prim ctx p args);
            frame.pc <- next
        | Nop -> frame.pc <- next
        | IConst_u _ | IMov_u _ | UnboxI _ | BoxI _ | IArith_u _ | IArithK_u _
        | ICmp_u _ | ICmpK_u _ | IBrCmp_u _ | IBrCmpK_u _ | IIncrJ_u _
        | FConst_u _ | FMov_u _ | UnboxF _ | BoxF _ | FArith_u _ | FCmp_u _
        | FBrCmp_u _ ->
+           (* Specialized programs run on the closure tier (or the
+              checked oracle); a bank opcode reaching this loop is a
+              dispatch bug, not user error. *)
            fail "specialized opcode in %s outside specialized dispatch" f.name
      with Value.Hilti_error e when frame.tries <> [] && e.Value.ename <> "Hilti::HookStop" ->
        let handler, exc_reg = List.hd frame.tries in
@@ -1598,339 +1867,13 @@ and exec_func_verified ctx (fidx : int) (args : Value.t list) : Value.t =
   | None -> ());
   !result
 
-(* The specialized dispatch loop: verified semantics plus the unboxed
-   register banks {!Specialize} attached to every function.  Each
-   activation copies the immutable bank templates, exactly as [regs]
-   copies [reg_defaults] — so under [Hilti_par] banks clone per frame and
-   nothing mutable is shared between domains.  The bank arithmetic is
-   written out inline (not via [int_arith]/[exec_prim]): without flambda a
-   helper call re-boxes its int64/float arguments, which is precisely the
-   allocation this loop exists to remove. *)
-and exec_func_spec ctx (fidx : int) (args : Value.t list) : Value.t =
-  let f = ctx.program.funcs.(fidx) in
-  let sp =
-    match f.spec with
-    | Some s -> s
-    | None -> fail "function %s has no register-bank metadata" f.name
-  in
-  let slot = acquire_frame ctx fidx f in
-  let regs =
-    match slot with Some s -> s.a_regs | None -> Array.copy f.reg_defaults
-  in
-  let frame = { regs; pc = 0; tries = [] } in
-  List.iteri (fun i v -> if i < f.nregs then frame.regs.(i) <- v) args;
-  (* [acquire_frame] already blitted the bank templates over a reused
-     slot's banks, so both paths start from the template state. *)
-  let ibank =
-    match slot with Some s -> s.a_ibank | None -> Bytes.copy sp.ibank_init
-  in
-  let fbank =
-    match slot with Some s -> s.a_fbank | None -> Array.copy sp.fbank_init
-  in
-  let code = f.code in
-  let result = ref Value.Null in
-  let running = ref true in
-  let obs =
-    if Hilti_obs.Metrics.enabled () then Some (Array.make n_opgroups 0) else None
-  in
-  let instrs_at_entry = ctx.instr_count in
-  (try
-     while !running do
-    let i = Array.unsafe_get code frame.pc in
-    ctx.instr_count <- ctx.instr_count + 1;
-    if ctx.instr_count >= ctx.step_kill then raise Step_budget_exceeded;
-    ctx.cycles := !(ctx.cycles) + 1;
-    (match obs with
-    | Some ops ->
-        let g = opgroup_of i in
-        ops.(g) <- ops.(g) + 1
-    | None -> ());
-    let next = frame.pc + 1 in
-    (try
-       match i with
-       | Const (dst, v) ->
-           usetreg frame dst v;
-           frame.pc <- next
-       | Mov (dst, src) ->
-           usetreg frame dst (ureg frame src);
-           frame.pc <- next
-       | LoadGlobal (dst, slot) ->
-           usetreg frame dst (Array.unsafe_get (current_globals ctx) slot);
-           frame.pc <- next
-       | StoreGlobal (slot, src) ->
-           Array.unsafe_set (current_globals ctx) slot (ureg frame src);
-           frame.pc <- next
-       | Jump pc -> frame.pc <- pc
-       | Br (c, t, e) -> frame.pc <- (if Value.as_bool (ureg frame c) then t else e)
-       | Switch (v, default, cases) ->
-           let value = ureg frame v in
-           let rec find k =
-             if k >= Array.length cases then default
-             else
-               let cv, pc = Array.unsafe_get cases k in
-               if Value.equal cv value then pc else find (k + 1)
-           in
-           frame.pc <- find 0
-       | Call (callee, arg_regs, dst) ->
-           let args = Array.to_list (Array.map (ureg frame) arg_regs) in
-           let r = exec_func_spec ctx callee args in
-           usetreg frame dst r;
-           frame.pc <- next
-       | CallC (name, arg_regs, dst) -> (
-           match Hashtbl.find_opt ctx.host_funcs name with
-           | Some fn ->
-               let args = Array.to_list (Array.map (ureg frame) arg_regs) in
-               usetreg frame dst (fn ctx args);
-               frame.pc <- next
-           | None -> fail "unresolved host function %s" name)
-       | Ret r ->
-           result := (if r >= 0 then ureg frame r else Value.Null);
-           running := false
-       | TryPush (handler, exc_reg) ->
-           frame.tries <- (handler, exc_reg) :: frame.tries;
-           frame.pc <- next
-       | TryPop ->
-           (match frame.tries with
-           | _ :: rest -> frame.tries <- rest
-           | [] -> ());
-           frame.pc <- next
-       | Throw r -> (
-           match ureg frame r with
-           | Value.Exception e -> raise (Value.Hilti_error e)
-           | v -> raise (Value.Hilti_error { ename = "Hilti::Exception"; earg = v }))
-       | Yield ->
-           (match Hilti_rt.Fiber.yield () with
-           | () -> ()
-           | exception Effect.Unhandled _ ->
-               raise (Value.would_block ()));
-           frame.pc <- next
-       | HookRun (name, arg_regs) ->
-           let args = Array.to_list (Array.map (ureg frame) arg_regs) in
-           run_hook ctx name args;
-           frame.pc <- next
-       | Schedule (callee, arg_regs, tid_reg) ->
-           let tid = Value.as_int (ureg frame tid_reg) in
-           let args =
-             Array.to_list (Array.map (fun r -> Value.deep_copy (ureg frame r)) arg_regs)
-           in
-           schedule_job ctx tid callee args;
-           frame.pc <- next
-       | Bind (callee, arg_regs, dst) ->
-           let args = Array.to_list (Array.map (ureg frame) arg_regs) in
-           let name = ctx.program.funcs.(callee).name in
-           usetreg frame dst
-             (Value.Callable
-                {
-                  description = name;
-                  invoke = (fun () -> exec_func (exec_context ctx) callee args);
-                });
-           frame.pc <- next
-       | Prim (p, arg_regs, dst) ->
-           let args = Array.map (ureg frame) arg_regs in
-           let v =
-             try exec_prim ctx p args with
-             | Hilti_types.Hbytes.Out_of_range ->
-                 raise (Value.value_error "bytes: out of range")
-             | Hilti_types.Hbytes.Frozen ->
-                 raise (Value.value_error "bytes: frozen")
-             | Hilti_rt.Regexp.Parse_error msg -> raise (Value.value_error msg)
-             | Invalid_argument msg ->
-                 (* Hostile field values (e.g. a lying length that goes
-                    negative) reach substrate primitives; surface them as a
-                    catchable HILTI exception, not a raw OCaml crash. *)
-                 raise (Value.value_error ("prim: " ^ msg))
-           in
-           usetreg frame dst v;
-           frame.pc <- next
-       | Nop -> frame.pc <- next
-       (* ---- Int bank ---- *)
-       | IConst_u (d, k) ->
-           ibank_set ibank (d lsl 3) k;
-           frame.pc <- next
-       | IMov_u (d, s) ->
-           ibank_set ibank (d lsl 3) (ibank_get ibank (s lsl 3));
-           frame.pc <- next
-       | UnboxI (d, s) ->
-           (* Mirrors [Value.as_int] so failure counting matches the
-              generic path. *)
-           (match ureg frame s with
-           | Value.Int k -> ibank_set ibank (d lsl 3) k
-           | v -> raise (Value.type_error ("int: " ^ Value.to_string v)));
-           frame.pc <- next
-       | BoxI (d, s) ->
-           usetreg frame d (Value.Int (ibank_get ibank (s lsl 3)));
-           frame.pc <- next
-       | IArith_u (op, w, d, a, b) ->
-           let x = ibank_get ibank (a lsl 3) and y = ibank_get ibank (b lsl 3) in
-           let r =
-             match op with
-             | A_add -> Int64.add x y
-             | A_sub -> Int64.sub x y
-             | A_mul -> Int64.mul x y
-             | A_div -> if y = 0L then raise (Value.division_by_zero ()) else Int64.div x y
-             | A_mod -> if y = 0L then raise (Value.division_by_zero ()) else Int64.rem x y
-             | A_shl -> Int64.shift_left x (Int64.to_int y land 63)
-             | A_shr -> Int64.shift_right_logical x (Int64.to_int y land 63)
-             | A_and -> Int64.logand x y
-             | A_or -> Int64.logor x y
-             | A_xor -> Int64.logxor x y
-             | A_min -> if x <= y then x else y
-             | A_max -> if x >= y then x else y
-           in
-           let r =
-             if w >= 64 then r
-             else Int64.shift_right (Int64.shift_left r (64 - w)) (64 - w)
-           in
-           ibank_set ibank (d lsl 3) r;
-           frame.pc <- next
-       | IArithK_u (op, w, d, a, y) ->
-           let x = ibank_get ibank (a lsl 3) in
-           let r =
-             match op with
-             | A_add -> Int64.add x y
-             | A_sub -> Int64.sub x y
-             | A_mul -> Int64.mul x y
-             | A_div -> if y = 0L then raise (Value.division_by_zero ()) else Int64.div x y
-             | A_mod -> if y = 0L then raise (Value.division_by_zero ()) else Int64.rem x y
-             | A_shl -> Int64.shift_left x (Int64.to_int y land 63)
-             | A_shr -> Int64.shift_right_logical x (Int64.to_int y land 63)
-             | A_and -> Int64.logand x y
-             | A_or -> Int64.logor x y
-             | A_xor -> Int64.logxor x y
-             | A_min -> if x <= y then x else y
-             | A_max -> if x >= y then x else y
-           in
-           let r =
-             if w >= 64 then r
-             else Int64.shift_right (Int64.shift_left r (64 - w)) (64 - w)
-           in
-           ibank_set ibank (d lsl 3) r;
-           frame.pc <- next
-       | ICmp_u (c, d, a, b) ->
-           let x = ibank_get ibank (a lsl 3) and y = ibank_get ibank (b lsl 3) in
-           let r =
-             match c with
-             | C_eq -> Int64.equal x y
-             | C_lt -> x < y
-             | C_gt -> x > y
-             | C_leq -> x <= y
-             | C_geq -> x >= y
-           in
-           usetreg frame d (if r then vtrue else vfalse);
-           frame.pc <- next
-       | ICmpK_u (c, d, a, y) ->
-           let x = ibank_get ibank (a lsl 3) in
-           let r =
-             match c with
-             | C_eq -> Int64.equal x y
-             | C_lt -> x < y
-             | C_gt -> x > y
-             | C_leq -> x <= y
-             | C_geq -> x >= y
-           in
-           usetreg frame d (if r then vtrue else vfalse);
-           frame.pc <- next
-       | IBrCmp_u (c, a, b, t, e) ->
-           let x = ibank_get ibank (a lsl 3) and y = ibank_get ibank (b lsl 3) in
-           let r =
-             match c with
-             | C_eq -> Int64.equal x y
-             | C_lt -> x < y
-             | C_gt -> x > y
-             | C_leq -> x <= y
-             | C_geq -> x >= y
-           in
-           frame.pc <- (if r then t else e)
-       | IBrCmpK_u (c, a, y, t, e) ->
-           let x = ibank_get ibank (a lsl 3) in
-           let r =
-             match c with
-             | C_eq -> Int64.equal x y
-             | C_lt -> x < y
-             | C_gt -> x > y
-             | C_leq -> x <= y
-             | C_geq -> x >= y
-           in
-           frame.pc <- (if r then t else e)
-       | IIncrJ_u (w, d, k, t) ->
-           let r = Int64.add (ibank_get ibank (d lsl 3)) k in
-           let r =
-             if w >= 64 then r
-             else Int64.shift_right (Int64.shift_left r (64 - w)) (64 - w)
-           in
-           ibank_set ibank (d lsl 3) r;
-           frame.pc <- t
-       (* ---- Float bank ---- *)
-       | FConst_u (d, k) ->
-           Array.unsafe_set fbank d k;
-           frame.pc <- next
-       | FMov_u (d, s) ->
-           Array.unsafe_set fbank d (Array.unsafe_get fbank s);
-           frame.pc <- next
-       | UnboxF (d, s) ->
-           (* Mirrors [Value.as_double], including the int coercion. *)
-           (match ureg frame s with
-           | Value.Double x -> Array.unsafe_set fbank d x
-           | Value.Int k -> Array.unsafe_set fbank d (Int64.to_float k)
-           | v -> raise (Value.type_error ("double: " ^ Value.to_string v)));
-           frame.pc <- next
-       | BoxF (d, s) ->
-           usetreg frame d (Value.Double (Array.unsafe_get fbank s));
-           frame.pc <- next
-       | FArith_u (op, d, a, b) ->
-           let x = Array.unsafe_get fbank a and y = Array.unsafe_get fbank b in
-           let r =
-             match op with
-             | A_add -> x +. y
-             | A_sub -> x -. y
-             | A_mul -> x *. y
-             | A_div -> if y = 0. then raise (Value.division_by_zero ()) else x /. y
-             | _ -> fail "double arith"
-           in
-           Array.unsafe_set fbank d r;
-           frame.pc <- next
-       | FCmp_u (c, d, a, b) ->
-           (* Float.compare, not the native comparisons: NaN ordering must
-              match the generic [P_double_cmp] path exactly. *)
-           let r =
-             compare_by c
-               (Float.compare (Array.unsafe_get fbank a) (Array.unsafe_get fbank b))
-           in
-           usetreg frame d (if r then vtrue else vfalse);
-           frame.pc <- next
-       | FBrCmp_u (c, a, b, t, e) ->
-           let r =
-             compare_by c
-               (Float.compare (Array.unsafe_get fbank a) (Array.unsafe_get fbank b))
-           in
-           frame.pc <- (if r then t else e)
-     with Value.Hilti_error e when frame.tries <> [] && e.Value.ename <> "Hilti::HookStop" ->
-       let handler, exc_reg = List.hd frame.tries in
-       frame.tries <- List.tl frame.tries;
-       usetreg frame exc_reg (Value.Exception e);
-       frame.pc <- handler)
-     done
-   with e ->
-     release_frame slot;
-     raise e);
-  release_frame slot;
-  (match obs with
-  | Some ops ->
-      Array.iteri
-        (fun g n -> if n > 0 then Hilti_obs.Metrics.add m_opgroup.(g) n)
-        ops;
-      if ops.(bridge_group) > 0 then
-        Hilti_obs.Metrics.add m_regbank_transfers ops.(bridge_group);
-      Hilti_obs.Metrics.observe m_func_instrs (ctx.instr_count - instrs_at_entry)
-  | None -> ());
-  !result
+and run_hook ctx name args = run_hook_bodies ctx (hook_bodies ctx.program name) args
 
-and run_hook ctx name args =
-  match Hashtbl.find_opt ctx.program.hooks name with
-  | None -> ()
-  | Some idxs -> (
-      try List.iter (fun idx -> ignore (exec_func ctx idx args)) idxs
-      with Value.Hilti_error e when e.Value.ename = "Hilti::HookStop" -> ())
+(** Run resolved hook bodies (see {!hook_bodies}) in order; a body raising
+    [Hilti::HookStop] ends the hook. *)
+and run_hook_bodies ctx (bodies : int array) args =
+  try Array.iter (fun idx -> ignore (exec_func ctx idx args)) bodies
+  with Value.Hilti_error e when e.Value.ename = "Hilti::HookStop" -> ()
 
 (** Schedule bytecode function [callee] on virtual thread [tid]
     ([thread.schedule]).  The caller must have deep-copied [args] already.
@@ -1945,6 +1888,505 @@ and schedule_job ctx tid callee (args : Value.t list) =
       Fun.protect
         ~finally:(fun () -> ctx.current_thread <- saved)
         (fun () -> ignore (exec_func ctx callee args)))
+
+(* ---- The closure tier ------------------------------------------------------------- *)
+
+(* The translation of a specialized program, built on first use ({!load_tier}
+   builds it at load) and shared by the root context and its domain
+   clones. *)
+and tier_of ctx =
+  match Atomic.get ctx.tier with
+  | Some t -> t
+  | None ->
+      (* Racing domains each translate; one translation wins, and the
+         loser's (equivalent) closures are dropped. *)
+      ignore (Atomic.compare_and_set ctx.tier None (Some (translate ctx.program)));
+      Option.get (Atomic.get ctx.tier)
+
+(* Entry with an argument list: host calls, hooks run by the host,
+   scheduled jobs and bound callables. *)
+and tier_exec ctx (fidx : int) (args : Value.t list) : Value.t =
+  let tf = (tier_of ctx).(fidx) in
+  let f = tf.t_func in
+  let slot = acquire_frame ctx fidx f in
+  let regs = match slot with Some s -> s.a_regs | None -> Array.copy f.reg_defaults in
+  List.iteri (fun i v -> if i < f.nregs then regs.(i) <- v) args;
+  tier_run ctx tf slot regs
+
+(* Entry from a [Call] or [HookRun] closure: arguments are copied from the
+   caller's registers straight into the callee's frame. *)
+and tier_call ctx (tf : tfunc) (src : Value.t array) (ar : int array) : Value.t =
+  let f = tf.t_func in
+  let slot = acquire_frame ctx tf.t_idx f in
+  let regs = match slot with Some s -> s.a_regs | None -> Array.copy f.reg_defaults in
+  let n = if Array.length ar < f.nregs then Array.length ar else f.nregs in
+  for i = 0 to n - 1 do
+    Array.unsafe_set regs i (get src (Array.unsafe_get ar i))
+  done;
+  tier_run ctx tf slot regs
+
+and tier_run ctx (tf : tfunc) slot regs : Value.t =
+  let act =
+    { actx = ctx; aregs = regs; aibank = activation_ibank slot tf.t_func;
+      afbank = activation_fbank slot tf.t_func; atries = []; aresult = Value.Null }
+  in
+  match
+    if Hilti_obs.Metrics.enabled () then tier_run_obs ctx tf act
+    else tier_loop ctx tf.t_code act 0
+  with
+  | () ->
+      release_frame slot;
+      act.aresult
+  | exception e ->
+      release_frame slot;
+      raise e
+
+(* The dispatch loop proper.  A HILTI exception unwinds to here and, when
+   the activation has a handler, resumes at it; the loop state is just
+   the pc, so one trap per handler entry replaces the per-instruction
+   trap of the other loops. *)
+and tier_loop ctx code act pc0 =
+  match
+    let pc = ref pc0 in
+    while !pc >= 0 do
+      let n = ctx.instr_count + 1 in
+      ctx.instr_count <- n;
+      if n >= ctx.step_kill then raise Step_budget_exceeded;
+      let c = ctx.cycles in
+      c := !c + 1;
+      pc := (Array.unsafe_get code !pc) act
+    done
+  with
+  | () -> ()
+  | exception Value.Hilti_error e
+    when act.atries <> [] && e.Value.ename <> "Hilti::HookStop" ->
+      tier_loop ctx code act (tier_catch act e)
+
+and tier_catch act e =
+  match act.atries with
+  | (handler, exc_reg) :: rest ->
+      act.atries <- rest;
+      set act.aregs exc_reg (Value.Exception e);
+      handler
+  | [] -> assert false
+
+(* The same loop with the per-activation op-group tally, selected when
+   metrics are enabled and flushed on normal return, like the other
+   loops. *)
+and tier_run_obs ctx tf act =
+  let ops = Array.make n_opgroups 0 in
+  let instrs_at_entry = ctx.instr_count in
+  tier_loop_obs ctx tf.t_code tf.t_groups ops act 0;
+  Array.iteri (fun g n -> if n > 0 then Hilti_obs.Metrics.add m_opgroup.(g) n) ops;
+  if ops.(bridge_group) > 0 then
+    Hilti_obs.Metrics.add m_regbank_transfers ops.(bridge_group);
+  Hilti_obs.Metrics.observe m_func_instrs (ctx.instr_count - instrs_at_entry)
+
+and tier_loop_obs ctx code groups ops act pc0 =
+  match
+    let pc = ref pc0 in
+    while !pc >= 0 do
+      let n = ctx.instr_count + 1 in
+      ctx.instr_count <- n;
+      if n >= ctx.step_kill then raise Step_budget_exceeded;
+      let c = ctx.cycles in
+      c := !c + 1;
+      let g = Array.unsafe_get groups !pc in
+      Array.unsafe_set ops g (Array.unsafe_get ops g + 1);
+      pc := (Array.unsafe_get code !pc) act
+    done
+  with
+  | () -> ()
+  | exception Value.Hilti_error e
+    when act.atries <> [] && e.Value.ename <> "Hilti::HookStop" ->
+      tier_loop_obs ctx code groups ops act (tier_catch act e)
+
+(* ---- Translation ---------------------------------------------------------------- *)
+
+(* Closures capture only immutable data — register and bank indices,
+   constants, resolved primitive implementations, callee and body
+   indices (into [tfuncs], filled before anything runs) — plus their
+   struct-slot hints.  The context, frame and banks arrive through the
+   activation, so one translation serves every domain clone. *)
+and translate (p : Bytecode.program) : tfunc array =
+  let n = Array.length p.funcs in
+  if n = 0 then [||]
+  else begin
+    let dummy = { t_idx = -1; t_func = p.funcs.(0); t_code = [||]; t_groups = [||] } in
+    let tfuncs = Array.make n dummy in
+    Array.iteri
+      (fun i (f : Bytecode.func) ->
+        tfuncs.(i) <-
+          {
+            t_idx = i;
+            t_func = f;
+            t_code = Array.mapi (translate_instr p tfuncs) f.code;
+            t_groups = Array.map opgroup_of f.code;
+          })
+      p.funcs;
+    tfuncs
+  end
+
+and translate_instr p tfuncs pc (i : Bytecode.instr) : act -> int =
+  let next = pc + 1 in
+  match i with
+  | Const (d, v) ->
+      fun a ->
+        set a.aregs d v;
+        next
+  | Mov (d, s) ->
+      fun a ->
+        let r = a.aregs in
+        set r d (get r s);
+        next
+  | LoadGlobal (d, slot) ->
+      fun a ->
+        set a.aregs d (Array.unsafe_get (current_globals a.actx) slot);
+        next
+  | StoreGlobal (slot, s) ->
+      fun a ->
+        Array.unsafe_set (current_globals a.actx) slot (get a.aregs s);
+        next
+  | Jump t -> fun _ -> t
+  | Br (c, t, e) -> fun a -> if Value.as_bool (get a.aregs c) then t else e
+  | Switch (v, default, cases) ->
+      fun a ->
+        let value = get a.aregs v in
+        let rec find k =
+          if k >= Array.length cases then default
+          else
+            let cv, pc = Array.unsafe_get cases k in
+            if Value.equal cv value then pc else find (k + 1)
+        in
+        find 0
+  | Call (callee, ar, d) ->
+      fun a ->
+        let r = a.aregs in
+        set r d (tier_call a.actx (Array.unsafe_get tfuncs callee) r ar);
+        next
+  | CallC (h, ar, d) ->
+      fun a ->
+        let ctx = a.actx and r = a.aregs in
+        let fn = Array.unsafe_get ctx.host_slots h in
+        set r d (fn ctx (args_list r ar));
+        next
+  | Ret r when r >= 0 ->
+      fun a ->
+        a.aresult <- get a.aregs r;
+        -1
+  | Ret _ -> fun _ -> -1
+  | TryPush (handler, exc_reg) ->
+      fun a ->
+        a.atries <- (handler, exc_reg) :: a.atries;
+        next
+  | TryPop ->
+      fun a ->
+        (match a.atries with _ :: rest -> a.atries <- rest | [] -> ());
+        next
+  | Throw r -> (
+      fun a ->
+        match get a.aregs r with
+        | Value.Exception e -> raise (Value.Hilti_error e)
+        | v -> raise (Value.Hilti_error { ename = "Hilti::Exception"; earg = v }))
+  | Yield ->
+      fun _ ->
+        suspend ();
+        next
+  | HookRun (name, ar) ->
+      (* Bodies in priority order, bound now; a hook without bodies only
+         retires its instruction. *)
+      let bodies = hook_bodies p name in
+      if Array.length bodies = 0 then fun _ -> next
+      else
+        fun a ->
+          let ctx = a.actx and r = a.aregs in
+          (try
+             for k = 0 to Array.length bodies - 1 do
+               ignore (tier_call ctx (Array.unsafe_get tfuncs (Array.unsafe_get bodies k)) r ar)
+             done
+           with Value.Hilti_error e when e.Value.ename = "Hilti::HookStop" -> ());
+          next
+  | Schedule (callee, ar, tid_reg) ->
+      fun a ->
+        let r = a.aregs in
+        let tid = Value.as_int (get r tid_reg) in
+        let args = Array.to_list (Array.map (fun x -> Value.deep_copy (get r x)) ar) in
+        schedule_job a.actx tid callee args;
+        next
+  | Bind (callee, ar, d) ->
+      let name = p.funcs.(callee).name in
+      fun a ->
+        let ctx = a.actx and r = a.aregs in
+        let args = args_list r ar in
+        set r d
+          (Value.Callable
+             {
+               description = name;
+               (* Resolve at invocation: the callable may fire later on a
+                  different domain (e.g. from a migrated timer). *)
+               invoke = (fun () -> exec_func (exec_context ctx) callee args);
+             });
+        next
+  | Prim (pr, ar, d) -> translate_prim p pr ar d next
+  | Nop -> fun _ -> next
+  (* ---- Int bank: slots pre-scaled to byte offsets ---- *)
+  | IConst_u (d, k) ->
+      let d = d lsl 3 in
+      fun a ->
+        ibank_set a.aibank d k;
+        next
+  | IMov_u (d, s) ->
+      let d = d lsl 3 and s = s lsl 3 in
+      fun a ->
+        let b = a.aibank in
+        ibank_set b d (ibank_get b s);
+        next
+  | UnboxI (d, s) ->
+      let d = d lsl 3 in
+      fun a ->
+        (* Mirrors [Value.as_int] so failure counting matches the generic
+           path. *)
+        (match get a.aregs s with
+        | Value.Int k -> ibank_set a.aibank d k
+        | v -> raise (Value.type_error ("int: " ^ Value.to_string v)));
+        next
+  | BoxI (d, s) ->
+      let s = s lsl 3 in
+      fun a ->
+        set a.aregs d (Value.Int (ibank_get a.aibank s));
+        next
+  | IArith_u (op, w, d, x, y) ->
+      let sh = if w >= 64 then 0 else 64 - w in
+      let d = d lsl 3 and x = x lsl 3 and y = y lsl 3 in
+      fun a ->
+        let b = a.aibank in
+        iarith_set b d sh op (ibank_get b x) (ibank_get b y);
+        next
+  | IArithK_u (op, w, d, x, k) ->
+      let sh = if w >= 64 then 0 else 64 - w in
+      let d = d lsl 3 and x = x lsl 3 in
+      fun a ->
+        let b = a.aibank in
+        iarith_set b d sh op (ibank_get b x) k;
+        next
+  | ICmp_u (c, d, x, y) ->
+      let x = x lsl 3 and y = y lsl 3 in
+      fun a ->
+        let b = a.aibank in
+        set a.aregs d (vbool (icmp c (ibank_get b x) (ibank_get b y)));
+        next
+  | ICmpK_u (c, d, x, k) ->
+      let x = x lsl 3 in
+      fun a ->
+        set a.aregs d (vbool (icmp c (ibank_get a.aibank x) k));
+        next
+  | IBrCmp_u (c, x, y, t, e) ->
+      let x = x lsl 3 and y = y lsl 3 in
+      fun a ->
+        let b = a.aibank in
+        if icmp c (ibank_get b x) (ibank_get b y) then t else e
+  | IBrCmpK_u (c, x, k, t, e) ->
+      let x = x lsl 3 in
+      fun a -> if icmp c (ibank_get a.aibank x) k then t else e
+  | IIncrJ_u (w, d, k, t) ->
+      let sh = if w >= 64 then 0 else 64 - w in
+      let d = d lsl 3 in
+      fun a ->
+        let b = a.aibank in
+        ibank_set b d (wrap_sh sh (Int64.add (ibank_get b d) k));
+        t
+  (* ---- Float bank ---- *)
+  | FConst_u (d, k) ->
+      fun a ->
+        Array.unsafe_set a.afbank d k;
+        next
+  | FMov_u (d, s) ->
+      fun a ->
+        let b = a.afbank in
+        Array.unsafe_set b d (Array.unsafe_get b s);
+        next
+  | UnboxF (d, s) ->
+      fun a ->
+        (* Mirrors [Value.as_double], including the int coercion. *)
+        (match get a.aregs s with
+        | Value.Double x -> Array.unsafe_set a.afbank d x
+        | Value.Int k -> Array.unsafe_set a.afbank d (Int64.to_float k)
+        | v -> raise (Value.type_error ("double: " ^ Value.to_string v)));
+        next
+  | BoxF (d, s) ->
+      fun a ->
+        set a.aregs d (Value.Double (Array.unsafe_get a.afbank s));
+        next
+  | FArith_u (op, d, x, y) ->
+      fun a ->
+        let b = a.afbank in
+        Array.unsafe_set b d (farith op (Array.unsafe_get b x) (Array.unsafe_get b y));
+        next
+  | FCmp_u (c, d, x, y) ->
+      fun a ->
+        let b = a.afbank in
+        set a.aregs d (vbool (fcmp c (Array.unsafe_get b x) (Array.unsafe_get b y)));
+        next
+  | FBrCmp_u (c, x, y, t, e) ->
+      fun a ->
+        let b = a.afbank in
+        if fcmp c (Array.unsafe_get b x) (Array.unsafe_get b y) then t else e
+
+(* Primitives resolved to their implementation.  Each closure reads its
+   operands straight from the registers, in the order [exec_prim] does,
+   and keeps its failure behaviour: the substrate mapping wraps every
+   implementation that can raise a substrate exception.  Operand counts
+   other than the primitive's own, and every primitive not listed, take
+   the generic path through [exec_prim]. *)
+and translate_prim p pr (ar : int array) d next : act -> int =
+  let open Hilti_types in
+  let arg k = if k < Array.length ar then ar.(k) else -1 in
+  let x = arg 0 and y = arg 1 and z = arg 2 in
+  match (pr, Array.length ar) with
+  | (P_equal | P_tuple_eq | P_enum_eq | P_bitset_eq), 2 ->
+      fun a ->
+        let r = a.aregs in
+        set r d (vbool (Value.equal (get r x) (get r y)));
+        next
+  | P_make_tuple, _ ->
+      fun a ->
+        let r = a.aregs in
+        set r d (Value.Tuple (args_array r ar));
+        next
+  | P_new (New_struct (sname, fields)), _ ->
+      let names = Array.of_list fields in
+      fun a ->
+        set a.aregs d
+          (Value.Struct { Value.sname; sfields = Array.map (fun n -> (n, ref None)) names });
+        next
+  | P_new New_list, _ ->
+      fun a ->
+        set a.aregs d (Value.List (Deque.create ()));
+        next
+  | P_new New_bytes, _ ->
+      fun a ->
+        set a.aregs d (Value.Bytes (Hbytes.create ()));
+        next
+  | P_bool_and, 2 ->
+      fun a ->
+        let r = a.aregs in
+        set r d (vbool (Value.as_bool (get r x) && Value.as_bool (get r y)));
+        next
+  | P_bool_or, 2 ->
+      fun a ->
+        let r = a.aregs in
+        set r d (vbool (Value.as_bool (get r x) || Value.as_bool (get r y)));
+        next
+  | P_bool_not, 1 ->
+      fun a ->
+        let r = a.aregs in
+        set r d (vbool (not (Value.as_bool (get r x))));
+        next
+  | P_tuple_get i, 1 ->
+      fun a ->
+        let r = a.aregs in
+        let t = Value.as_tuple (get r x) in
+        set r d
+          (if i < 0 || i >= Array.length t then raise (Value.index_error ())
+           else Array.unsafe_get t i);
+        next
+  | P_struct (ST_get f), 1 ->
+      let c = { hint = 0 } in
+      fun a ->
+        let r = a.aregs in
+        let s = Value.as_struct (get r x) in
+        set r d (match !(cached_field c f s) with Some v -> v | None -> raise (Value.unset_field f));
+        next
+  | P_struct (ST_get_default f), 2 ->
+      let c = { hint = 0 } in
+      fun a ->
+        let r = a.aregs in
+        let s = Value.as_struct (get r x) in
+        set r d (match !(cached_field c f s) with Some v -> v | None -> get r y);
+        next
+  | P_struct (ST_set f), 2 ->
+      let c = { hint = 0 } in
+      fun a ->
+        let r = a.aregs in
+        let s = Value.as_struct (get r x) in
+        cached_field c f s := Some (get r y);
+        set r d Value.Null;
+        next
+  | P_struct (ST_unset f), 1 ->
+      let c = { hint = 0 } in
+      fun a ->
+        let r = a.aregs in
+        let s = Value.as_struct (get r x) in
+        cached_field c f s := None;
+        set r d Value.Null;
+        next
+  | P_struct (ST_is_set f), 1 ->
+      let c = { hint = 0 } in
+      fun a ->
+        let r = a.aregs in
+        let s = Value.as_struct (get r x) in
+        set r d (vbool (!(cached_field c f s) <> None));
+        next
+  | P_bytes B_length, 1 ->
+      fun a ->
+        let r = a.aregs in
+        set r d (Value.Int (Int64.of_int (Hbytes.length (Value.as_bytes (get r x)))));
+        next
+  | P_bytes B_append, 2 ->
+      fun a ->
+        let r = a.aregs in
+        (try
+           let b = Value.as_bytes (get r x) in
+           match get r y with
+           | Value.Bytes src -> Hbytes.append b (Hbytes.to_string src)
+           | Value.String s -> Hbytes.append b s
+           | v -> raise (Value.type_error ("bytes.append: " ^ Value.to_string v))
+         with e -> raise (substrate_exn e));
+        set r d Value.Null;
+        next
+  | P_bytes B_read, 2 ->
+      fun a ->
+        let r = a.aregs in
+        set r d
+          (try
+             let it = Value.as_bytes_iter (get r x) and n = Value.as_int_i (get r y) in
+             if n < 0 then raise (Value.value_error "bytes.read: negative length");
+             bytes_read it n
+           with e -> raise (substrate_exn e));
+        next
+  | P_bytes ((B_unpack_uint | B_unpack_sint) as op), 3 ->
+      let signed = op = B_unpack_sint in
+      fun a ->
+        let r = a.aregs in
+        set r d
+          (try
+             let it = Value.as_bytes_iter (get r x) in
+             let width = Value.as_int_i (get r y) in
+             let order = if Value.as_bool (get r z) then Hbytes.Big else Hbytes.Little in
+             bytes_unpack ~signed it ~width ~order
+           with e -> raise (substrate_exn e));
+        next
+  | P_enum_from_int name, 1 ->
+      (* The label set is bound now; [exec_prim] looks it up per call. *)
+      let labels =
+        match Hashtbl.find_opt p.types name with
+        | Some (Module_ir.Enum_decl labels) -> List.map snd labels
+        | _ -> []
+      in
+      fun a ->
+        let r = a.aregs in
+        let v = Value.as_int_i (get r x) in
+        set r d (Value.Enum (name, v, not (List.mem v labels)));
+        next
+  | _ ->
+      fun a ->
+        let r = a.aregs in
+        set r d (guarded_prim a.actx pr (args_array r ar));
+        next
+
+(** Translate a specialized program to the closure tier now, so the cost
+    falls in set-up rather than in the first call (a no-op otherwise). *)
+let load_tier ctx = if ctx.program.specialized then ignore (tier_of ctx)
 
 (** Call a HILTI function by name (the generated C-stub entry point).
     Runs on the current domain's execution context. *)

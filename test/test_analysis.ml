@@ -241,6 +241,7 @@ let mk_prog ?(globals = [||]) funcs =
     global_defaults = Array.map snd globals;
     global_index = Hashtbl.create 8;
     hooks = Hashtbl.create 8;
+    hosts = [||];
     types = Hashtbl.create 8;
     verified = false;
     specialized = false;

@@ -144,6 +144,7 @@ let mk_prog funcs =
     global_defaults = [||];
     global_index = Hashtbl.create 8;
     hooks = Hashtbl.create 8;
+    hosts = [||];
     types = Hashtbl.create 8;
     verified = false;
     specialized = false;

@@ -128,6 +128,25 @@ let test_event_counts () =
   Alcotest.(check int) "same packets" std.Driver.stats.Driver.packets
     pac.Driver.stats.Driver.packets
 
+let test_glue_reported () =
+  (* Glue is timed once per event argument list and once per parsed
+     message, no longer per value: the compiled BinPAC++ run still
+     reports it, and it stays a part of the total. *)
+  let r =
+    run_dns ~kind:(Driver.Dns_pac (Dns_pac.load ())) ~mode:Mini_bro.Bro_engine.Compiled
+  in
+  Alcotest.(check bool) "glue_ns reported" true (r.Driver.glue_ns > 0L);
+  Alcotest.(check bool) "glue within total" true (r.Driver.glue_ns < r.Driver.total_ns);
+  let calls =
+    Hilti_rt.Profiler.invocations
+      (Hilti_rt.Profiler.find_or_create Mini_bro.Bro_val.glue_profiler)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "one window per message or event (%d windows, %d events)" calls
+       r.Driver.stats.Driver.events)
+    true
+    (calls > 0 && calls <= r.Driver.stats.Driver.packets + r.Driver.stats.Driver.events)
+
 let suite =
   [ Alcotest.test_case "Table 2: HTTP std vs pac" `Quick test_http_parsers_agree;
     Alcotest.test_case "Table 2: DNS std vs pac" `Quick test_dns_parsers_agree;
@@ -135,4 +154,5 @@ let suite =
     Alcotest.test_case "Table 3: DNS interp vs compiled" `Quick test_dns_scripts_agree;
     Alcotest.test_case "http.log content" `Quick test_http_log_content;
     Alcotest.test_case "dns.log content" `Quick test_dns_log_content;
-    Alcotest.test_case "event counts agree" `Quick test_event_counts ]
+    Alcotest.test_case "event counts agree" `Quick test_event_counts;
+    Alcotest.test_case "glue timed per message and event" `Quick test_glue_reported ]

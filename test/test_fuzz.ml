@@ -178,9 +178,9 @@ let quick_cfg =
   { Engine.default with Engine.execs = 25; minimize_budget = 16 }
 
 let test_shipped_pairs_clean () =
-  (* Every shipped differential — std-vs-pac and checked-vs-specialized
-     dispatch for MQTT, FTP and DNS — must agree on the corpus and on a
-     short seeded mutation run. *)
+  (* Every shipped differential — std-vs-pac, checked-vs-tier dispatch and
+     plain-vs-specialized compilation for MQTT, FTP and DNS — must agree
+     on the corpus and on a short seeded mutation run. *)
   let report = Engine.run ~pairs:(Oracle.pairs ()) quick_cfg in
   Alcotest.(check int)
     "no findings" 0
@@ -198,6 +198,61 @@ let test_dispatch_pairs_clean () =
   in
   Alcotest.(check int) "two dispatch pairs" 2 (List.length pairs);
   let report = Engine.run ~pairs { quick_cfg with Engine.seed = 9 } in
+  Alcotest.(check int) "no findings" 0 (List.length report.Engine.r_findings)
+
+let test_dispatch_costs_agree () =
+  (* All three dispatch differentials, with metrics on so runtime safety
+     checks are counted: the checked oracle and the closure tier run the
+     same bytecode, so beyond events and fates they must agree on every
+     parser call's instructions retired and checks fired. *)
+  let pairs =
+    List.filter
+      (fun p -> Filename.check_suffix p.Oracle.pname "dispatch")
+      (Oracle.pairs ())
+  in
+  Alcotest.(check int) "three dispatch pairs" 3 (List.length pairs);
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) (p.Oracle.pname ^ ": left runs the checked loop") true
+        (Filename.check_suffix p.Oracle.left.Oracle.iname "checked-spec"))
+    pairs;
+  let report =
+    Hilti_obs.Metrics.with_enabled true (fun () ->
+        Engine.run ~pairs { quick_cfg with Engine.seed = 13 })
+  in
+  Alcotest.(check int) "no findings" 0 (List.length report.Engine.r_findings);
+  (* The costs are really compared: a case both sides parse records one
+     entry per call, and tampering with one side's is a finding. *)
+  let dns = List.find (fun p -> p.Oracle.pname = "dns/dispatch") pairs in
+  let case = List.hd (Corpus.for_proto Shape.Dns) in
+  let l = dns.Oracle.left.Oracle.run case and r = dns.Oracle.right.Oracle.run case in
+  Alcotest.(check bool) "costs recorded" true (l.Oracle.costs <> []);
+  Alcotest.(check (list string)) "costs agree" l.Oracle.costs r.Oracle.costs;
+  Alcotest.(check bool) "a cost difference is a finding" true
+    (dns.Oracle.agree l { r with Oracle.costs = List.tl r.Oracle.costs @ [ "0/0" ] } <> None)
+
+let test_spec_pairs_clean () =
+  (* The compiler differentials: each grammar compiled without
+     specialization (checked loop for MQTT/FTP, verified loop for DNS)
+     against the specialized build on the closure tier, compared exactly,
+     so a specializer or peephole bug is a finding. *)
+  let pairs =
+    List.filter
+      (fun p -> Filename.check_suffix p.Oracle.pname "/spec")
+      (Oracle.pairs ())
+  in
+  Alcotest.(check (list string))
+    "one per grammar" [ "mqtt/spec"; "ftp/spec"; "dns/spec" ]
+    (List.map (fun p -> p.Oracle.pname) pairs);
+  List.iter
+    (fun p ->
+      let l = p.Oracle.left.Oracle.iname and r = p.Oracle.right.Oracle.iname in
+      Alcotest.(check bool) (l ^ ": plain code") true
+        (Filename.check_suffix l "-checked" || Filename.check_suffix l "-verified");
+      Alcotest.(check bool) (r ^ ": specialized code on the tier") true
+        (Filename.check_suffix r "-spec"))
+    pairs;
+  let report = Engine.run ~pairs { quick_cfg with Engine.seed = 17 } in
   Alcotest.(check int) "no findings" 0 (List.length report.Engine.r_findings)
 
 (* ---- Engine: injected bug is found, minimized, and replayable ------------------ *)
@@ -405,6 +460,10 @@ let suite =
       test_shipped_pairs_clean;
     Alcotest.test_case "engine: mqtt/ftp dispatch pairs stay clean" `Quick
       test_dispatch_pairs_clean;
+    Alcotest.test_case "engine: dispatch pairs agree on per-call costs" `Quick
+      test_dispatch_costs_agree;
+    Alcotest.test_case "engine: plain-vs-specialized pairs stay clean" `Quick
+      test_spec_pairs_clean;
     Alcotest.test_case "engine: injected bug is found and replays exactly"
       `Quick test_buggy_oracle_found_and_replayed;
     Alcotest.test_case "engine: identical seed, identical findings" `Quick

@@ -341,8 +341,30 @@ let test_profiler_snapshot_cap () =
     "newest retained" 300L
     (fst (List.nth snaps (List.length snaps - 1)))
 
+let test_monotonic_clock () =
+  (* The profiler and trace clocks share one CLOCK_MONOTONIC source: reads
+     never step backwards and resolve single nanoseconds, where
+     gettimeofday scaled to ns only yields multiples of 256 today. *)
+  List.iter
+    (fun (what, read) ->
+      let reads = Array.init 1000 (fun _ -> read ()) in
+      for i = 1 to Array.length reads - 1 do
+        if Int64.compare reads.(i) reads.(i - 1) < 0 then
+          Alcotest.failf "%s: read %d went backwards (%Ld after %Ld)" what i reads.(i)
+            reads.(i - 1)
+      done;
+      Alcotest.(check bool)
+        (what ^ ": not all multiples of 256 ns")
+        true
+        (Array.exists (fun t -> Int64.rem t 256L <> 0L) reads))
+    [ ("Clock", Hilti_obs.Clock.monotonic_ns);
+      ("Trace", Hilti_obs.Trace.monotonic_ns);
+      ("Profiler", Hilti_rt.Profiler.monotonic_ns) ]
+
 let suite =
   [
+    Alcotest.test_case "monotonic clock: never backwards, ns resolution" `Quick
+      test_monotonic_clock;
     Alcotest.test_case "counter sharding exact under domains" `Quick
       test_counter_sharding;
     Alcotest.test_case "counter add/reset" `Quick test_counter_add_and_reset;

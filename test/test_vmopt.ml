@@ -1,9 +1,10 @@
-(* Register-bank specialization and superinstruction fusion: the typing
-   export feeding bank assignment, verifier rejection of malformed
-   specialized opcodes, the specialized dispatch loop's observability, and
-   a three-way differential property (checked vs verified vs specialized)
-   over random programs with int and float loops, branches and
-   exceptions. *)
+(* Register-bank specialization, superinstruction fusion and the closure
+   tier: the typing export feeding bank assignment, verifier rejection of
+   malformed specialized opcodes, the tier's observability, a three-way
+   differential property (checked vs verified vs the closure tier) over
+   random programs with int and float loops, branches and exceptions, and
+   unit cases for what the tier binds at load (hooks, struct slots, host
+   functions) and for its step budget. *)
 
 module Bc = Hilti_vm.Bytecode
 module Value = Hilti_vm.Value
@@ -248,18 +249,287 @@ let prop_differential_three_way =
            let api = compile (mk case) in
            Metrics.with_enabled true (fun () ->
                let before = Metrics.counter_value Value.m_dynamic_hit in
+               let c0 = H.cycles api in
                let outcome =
                  match H.call api "R::f" [ Value.Int (Int64.of_int x) ] with
                  | v -> Ok (Value.as_int v)
                  | exception Value.Hilti_error e -> Error e.Value.ename
                in
                let hits = Metrics.counter_value Value.m_dynamic_hit - before in
-               (outcome, hits))
+               (* Every loop retires the same bytecode instructions. *)
+               (outcome, hits, Int64.sub (H.cycles api) c0))
          in
          let checked = run (fun m -> H.compile ~verify:false [ m ]) in
          let verified = run (fun m -> H.compile ~specialize:false [ m ]) in
+         let checked_spec =
+           run (fun m ->
+               let api = H.compile [ m ] in
+               H.use_checked_loop api;
+               api)
+         in
          let specialized = run (fun m -> H.compile [ m ]) in
-         checked = verified && verified = specialized))
+         (* Fusion and bank bridges change the instruction count, so
+            retired instructions are compared between loops running the
+            same code: checked = verified on the plain code, the checked
+            oracle = the closure tier on the specialized code. *)
+         let same_outcome (o1, h1, _) (o2, h2, _) = o1 = o2 && h1 = h2 in
+         checked = verified && checked_spec = specialized
+         && same_outcome checked specialized))
+
+(* ---- The closure tier's load-time bindings ------------------------------ *)
+
+(* The ways a program can run, each tagged with the bytecode it executes:
+   the checked oracle and the verified loop run the unspecialized code;
+   the oracle also runs the specialized code ([use_checked_loop]), which
+   is what the closure tier runs.  Loops on the same code must retire the
+   same instructions; all must agree on outcomes. *)
+let modes =
+  [ ("checked", `Plain, fun m -> H.compile ~verify:false [ m ]);
+    ("verified", `Plain, fun m -> H.compile ~specialize:false [ m ]);
+    ( "checked-spec",
+      `Spec,
+      fun m ->
+        let api = H.compile [ m ] in
+        H.use_checked_loop api;
+        api );
+    ("tier", `Spec, fun m -> H.compile [ m ]) ]
+
+(* Run [entry] once per mode; each result carries the outcome, the output
+   printed, and the instructions retired. *)
+let run_modes src entry args =
+  List.map
+    (fun (mode, code, compile) ->
+      let api = compile (Hilti_lang.Parser.parse_module src) in
+      let out = Buffer.create 16 in
+      H.set_output api (fun s -> Buffer.add_string out (s ^ ";"));
+      let c0 = H.cycles api in
+      let outcome =
+        match H.call api entry args with
+        | v -> Value.to_string v
+        | exception Value.Hilti_error e -> "raised " ^ e.Value.ename
+      in
+      (mode, code, (outcome, Buffer.contents out, Int64.sub (H.cycles api) c0)))
+    modes
+
+(* Outcomes agree across all modes, instruction counts across the modes
+   running the same code. *)
+let check_modes what expected results =
+  let oracle_of code =
+    let _, _, r = List.find (fun (_, c, _) -> c = code) results in
+    r
+  in
+  List.iter
+    (fun (mode, code, (o, out, c)) ->
+      let o', out', c' = oracle_of code in
+      Alcotest.(check string) (Printf.sprintf "%s: %s outcome" what mode) (o' ^ " | " ^ out')
+        (o ^ " | " ^ out);
+      Alcotest.(check int64) (Printf.sprintf "%s: %s instructions" what mode) c' c)
+    results;
+  let o, out, _ = oracle_of `Plain in
+  Alcotest.(check string) (what ^ ": expected") expected (o ^ " | " ^ out)
+
+let test_tier_hooks () =
+  (* [M::none] has no bodies: the tier bound it to nothing at load, and it
+     must still retire exactly one instruction.  [M::h] has three bodies,
+     run by descending priority; the middle one stops the hook. *)
+  let src =
+    {|
+module M
+
+hook void h (int<64> x) {
+    call Hilti::print ("low")
+}
+
+hook 5 void h (int<64> x) {
+    call Hilti::print (x)
+}
+
+hook 3 void h (int<64> x) {
+    call Hilti::print ("stop")
+    hook.stop
+}
+
+hook 1 void g (int<64> x) {
+    call Hilti::print ("g1")
+}
+
+hook 2 void g (int<64> x) {
+    call Hilti::print ("g2")
+}
+
+int<64> f () {
+    hook.run M::none (1)
+    hook.run M::h (7)
+    hook.run M::none (2)
+    hook.run M::g (8)
+    return 42
+}
+|}
+  in
+  check_modes "hooks" "42 | 7;stop;g2;g1;" (run_modes src "M::f" []);
+  let empty =
+    {|
+module M
+
+int<64> f () {
+    hook.run M::none (1)
+    return 1
+}
+|}
+  in
+  let results = run_modes empty "M::f" [] in
+  check_modes "empty hook" "1 | " results;
+  List.iter
+    (fun (mode, _, (_, _, c)) ->
+      Alcotest.(check int64) (mode ^ ": empty hook.run retires one instruction") 2L c)
+    results
+
+let struct_src =
+  {|
+module M
+
+type R = struct {
+    int<64> b,
+    int<64> a
+}
+
+int<64> get_a (ref<R> r) {
+    local int<64> v
+    v = struct.get r a
+    return v
+}
+
+ref<R> make () {
+    local ref<R> r
+    r = new R
+    struct.set r a 1
+    struct.set r b 2
+    return r
+}
+|}
+
+let test_tier_struct_slot_miss () =
+  (* The VM builds [R] in declaration order (b, a); the Bro glue builds
+     structs in sorted field order (a, b).  The tier's slot cache learns
+     index 1 from the first, misses on the second, and must fall back to
+     the scan each time the layout flips — and fail like the scan when the
+     field is absent. *)
+  let module Bv = Mini_bro.Bro_val in
+  let host_struct fields = Bv.to_hilti_raw (Bv.new_record "M::R" fields) in
+  List.iter
+    (fun (mode, _, compile) ->
+      let api = compile (Hilti_lang.Parser.parse_module struct_src) in
+      let get r =
+        match H.call api "M::get_a" [ r ] with
+        | v -> Value.to_string v
+        | exception Value.Hilti_error e -> "raised " ^ e.Value.ename
+      in
+      let vm_built = H.call api "M::make" [] in
+      let sorted = host_struct [ ("b", Bv.Vcount 20L); ("a", Bv.Vcount 10L) ] in
+      let missing = host_struct [ ("b", Bv.Vcount 30L) ] in
+      Alcotest.(check (list string))
+        (mode ^ ": reads across layouts")
+        [ "1"; "10"; "1"; "10"; "raised Hilti::UnsetField"; "1" ]
+        (List.map get [ vm_built; sorted; vm_built; sorted; missing; vm_built ]))
+    modes
+
+let test_tier_host_rebinding () =
+  (* Host functions are bound through per-context slots filled by
+     [register]: registering after compile and re-registering later must
+     both take effect, and an unregistered call must still fail. *)
+  let mk () =
+    let m = Module_ir.create "T" in
+    Module_ir.add_func m
+      { Module_ir.fname = "Host::f"; params = [ ("x", Htype.Int 64) ];
+        result = Htype.Int 64; locals = []; blocks = []; cc = Module_ir.Cc_c;
+        hook_priority = 0; exported = true };
+    let b = Builder.func m "T::f" ~params:[ ("x", Htype.Int 64) ] ~result:(Htype.Int 64) in
+    let v =
+      Builder.emit b (Htype.Int 64) "call"
+        [ Instr.Fname "Host::f"; Instr.Tuple_op [ Instr.Local "x" ] ]
+    in
+    Builder.return_result b v;
+    m
+  in
+  List.iter
+    (fun (mode, _, compile) ->
+      let api = compile (mk ()) in
+      let call () =
+        match H.call api "T::f" [ Value.Int 7L ] with
+        | v -> Value.to_string v
+        | exception Hilti_vm.Vm.Runtime_error _ -> "unresolved"
+      in
+      let before = call () in
+      H.register api "Host::f" (fun args ->
+          match args with [ Value.Int x ] -> Value.Int (Int64.mul 3L x) | _ -> Value.Null);
+      let first = call () in
+      H.register api "Host::f" (fun args ->
+          match args with [ Value.Int x ] -> Value.Int (Int64.add 100L x) | _ -> Value.Null);
+      let second = call () in
+      Alcotest.(check (list string))
+        (mode ^ ": registration order")
+        [ "unresolved"; "21"; "107" ]
+        [ before; first; second ])
+    modes
+
+let test_tier_step_budget () =
+  (* A step budget trips at the same instruction in every loop: the
+     output printed before the kill and the instructions retired agree
+     for every budget along a loop with calls. *)
+  let src =
+    {|
+module M
+
+void tick (int<64> i) {
+    call Hilti::print (i)
+}
+
+void count (int<64> n) {
+    local int<64> i
+    local bool more
+    i = assign 0
+    jump head
+head:
+    more = int.lt i n
+    if.else more body done
+body:
+    call M::tick (i)
+    i = int.add i 1
+    jump head
+done:
+    return
+}
+|}
+  in
+  for budget = 1 to 40 do
+    let results =
+      List.map
+        (fun (mode, code, compile) ->
+          let api = compile (Hilti_lang.Parser.parse_module src) in
+          let out = Buffer.create 16 in
+          H.set_output api (fun s -> Buffer.add_string out (s ^ ";"));
+          let c0 = H.cycles api in
+          H.set_step_budget api budget;
+          let killed =
+            match H.call api "M::count" [ Value.Int 5L ] with
+            | _ -> false
+            | exception Hilti_vm.Vm.Step_budget_exceeded -> true
+          in
+          H.clear_step_budget api;
+          (mode, code, (killed, Buffer.contents out, Int64.sub (H.cycles api) c0)))
+        modes
+    in
+    (* Same code, same kill point: the output printed before it and the
+       instructions retired agree exactly. *)
+    List.iter
+      (fun (mode, code, r) ->
+        let _, _, oracle = List.find (fun (_, c, _) -> c = code) results in
+        let show (k, out, c) = Printf.sprintf "%b %s %Ld" k out c in
+        Alcotest.(check string)
+          (Printf.sprintf "budget %d: %s" budget mode)
+          (show oracle) (show r))
+      results
+  done
 
 let suite =
   [ Alcotest.test_case "typing export" `Quick test_typing_export;
@@ -267,4 +537,12 @@ let suite =
       test_verifier_rejects_malformed_spec;
     Alcotest.test_case "specialization smoke: fusion + obs" `Quick
       test_specialization_smoke;
-    prop_differential_three_way ]
+    prop_differential_three_way;
+    Alcotest.test_case "closure tier: empty, ordered and stopped hooks" `Quick
+      test_tier_hooks;
+    Alcotest.test_case "closure tier: struct-slot cache miss on host structs" `Quick
+      test_tier_struct_slot_miss;
+    Alcotest.test_case "closure tier: host function registered late, re-registered"
+      `Quick test_tier_host_rebinding;
+    Alcotest.test_case "closure tier: step budget trips at the same instruction"
+      `Quick test_tier_step_budget ]
