@@ -324,15 +324,11 @@ let test_flow_table_eviction () =
   Alcotest.(check int) "expired counter" 1 (Flow_table.expired table);
   Alcotest.(check (list int64)) "remove hook saw the state" [ t0 ] !removed
 
-let test_pipeline_eviction () =
-  let cfg = { Hilti_traces.Http_gen.default with sessions = 60 } in
-  let proto = `Http Hilti_analyzers.Driver.Http_std in
-  let baseline = evaluate ~proto (Hilti_traces.Http_gen.iosrc cfg) in
-  let evicting =
-    evaluate ~proto
-      ~idle_timeout:(Interval_ns.of_msecs 5)
-      (Hilti_traces.Http_gen.iosrc cfg)
-  in
+(* [logs] are the streams the protocol's scripts write; every one of
+   them must keep its rows when connections are evicted mid-trace. *)
+let test_pipeline_eviction ~proto ~src logs () =
+  let baseline = evaluate ~proto (src ()) in
+  let evicting = evaluate ~proto ~idle_timeout:(Interval_ns.of_msecs 5) (src ()) in
   Alcotest.(check bool)
     "eviction fired" true
     (evicting.Hilti_analyzers.Driver.stats.Hilti_analyzers.Driver.evicted > 0);
@@ -343,11 +339,32 @@ let test_pipeline_eviction () =
   (* Eviction may reorder end-of-connection rows but must lose none. *)
   List.iter
     (fun log ->
+      Alcotest.(check bool)
+        (log ^ ".log has rows") true
+        (Mini_bro.Bro_log.row_count baseline.Hilti_analyzers.Driver.logger log > 0);
       Alcotest.(check (list string))
         (log ^ ".log: same rows up to order")
         (Mini_bro.Bro_log.normalized baseline.Hilti_analyzers.Driver.logger log)
         (Mini_bro.Bro_log.normalized evicting.Hilti_analyzers.Driver.logger log))
+    logs
+
+let test_http_eviction =
+  test_pipeline_eviction ~proto:(`Http Hilti_analyzers.Driver.Http_std)
+    ~src:(fun () ->
+      Hilti_traces.Http_gen.iosrc { Hilti_traces.Http_gen.default with sessions = 60 })
     [ "http"; "files" ]
+
+let test_mqtt_eviction =
+  test_pipeline_eviction ~proto:(`Mqtt Hilti_analyzers.Driver.Mqtt_std)
+    ~src:(fun () ->
+      Hilti_traces.Mqtt_gen.iosrc { Hilti_traces.Mqtt_gen.default with sessions = 40 })
+    [ "mqtt" ]
+
+let test_ftp_eviction =
+  test_pipeline_eviction ~proto:(`Ftp Hilti_analyzers.Driver.Ftp_std)
+    ~src:(fun () ->
+      Hilti_traces.Ftp_gen.iosrc { Hilti_traces.Ftp_gen.default with sessions = 30 })
+    [ "ftp" ]
 
 (* ---- Bounded parser retention ------------------------------------------------------ *)
 
@@ -428,7 +445,11 @@ let suite =
     Alcotest.test_case "flow table: idle timeout evicts through remove hook"
       `Quick test_flow_table_eviction;
     Alcotest.test_case "driver: eviction bounds table, loses no rows" `Quick
-      test_pipeline_eviction;
+      test_http_eviction;
+    Alcotest.test_case "driver: mqtt eviction loses no rows" `Quick
+      test_mqtt_eviction;
+    Alcotest.test_case "driver: ftp eviction loses no rows" `Quick
+      test_ftp_eviction;
     Alcotest.test_case "http_std: retention bounded by in-flight message"
       `Quick test_http_std_retention;
     Alcotest.test_case "binpac: &trim bounds session retention" `Quick
