@@ -422,6 +422,42 @@ let suspend_copy_bench () =
     (copies_mid - copies_before);
   (arena_per, copy_per, copies_after - copies_mid)
 
+(* ---- Streaming SHA-1 ------------------------------------------------------ *)
+
+(* files.log body hashing as the HTTP parser does it: 1 MiB fed to one
+   context in 1,460-byte pieces (a TCP segment's payload), then finished.
+   Throughput is the best of 5 runs; allocation is the [Gc.minor_words]
+   delta of one run, per KiB hashed. *)
+let sha1_bench () =
+  Bench_util.header "sha1: streaming context, 1 MiB in 1460-byte feeds";
+  let module Sha1 = Mini_bro.Sha1 in
+  let total = 1 lsl 20 and seg = 1460 in
+  let msg = Bytes.init total (fun i -> Char.chr ((i * 131) land 0xff)) in
+  let ctx = Sha1.create () in
+  let hash () =
+    let off = ref 0 in
+    while !off < total do
+      let n = Stdlib.min seg (total - !off) in
+      Sha1.feed ctx msg !off n;
+      off := !off + n
+    done;
+    Sha1.finish ctx
+  in
+  assert (hash () = Sha1.digest (Bytes.to_string msg));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (hash ()));
+  let words = Gc.minor_words () -. before in
+  let alloc_per_kib =
+    words *. float_of_int (Sys.word_size / 8) /. float_of_int (total / 1024)
+  in
+  Bench_util.gc_normalize ();
+  let _, ns = Bench_util.best_of ~n:5 hash in
+  let mb_per_s = float_of_int total /. 1e6 /. (Int64.to_float ns /. 1e9) in
+  Printf.printf "  throughput: %8.1f MB/s
+" mb_per_s;
+  Printf.printf "  allocated:  %8.3f bytes per KiB hashed\n" alloc_per_kib;
+  (mb_per_s, alloc_per_kib)
+
 let verified_dispatch_bench (alloc_copy, alloc_reuse, alloc_reduction)
     ( dns_before,
       dns_after,
@@ -431,7 +467,7 @@ let verified_dispatch_bench (alloc_copy, alloc_reuse, alloc_reduction)
       dns_e2e_before,
       dns_e2e_after )
     (http_before, http_after, http_reduction)
-    (susp_arena, susp_copy, susp_copies) =
+    (susp_arena, susp_copy, susp_copies) (sha1_mb_per_s, sha1_alloc_per_kib) =
   Bench_util.header "bytecode verifier: checked vs verified dispatch vs closure tier";
   let iters = 400_000L in
   let module H = Hilti_vm.Host_api in
@@ -481,12 +517,15 @@ let verified_dispatch_bench (alloc_copy, alloc_reuse, alloc_reduction)
        \"http_alloc_reduction\": %.3f,\n  \
        \"suspend_arena_bytes_per_activation\": %.1f,\n  \
        \"suspend_copy_bytes_per_activation\": %.1f,\n  \
-       \"suspend_copies\": %d\n}\n"
+       \"suspend_copies\": %d,\n  \
+       \"sha1_mb_per_s\": %.1f,\n  \
+       \"sha1_alloc_bytes_per_kib\": %.3f\n}\n"
       iters (Bench_util.ms ns_checked) (Bench_util.ms ns_verified) speedup
       (Bench_util.ms ns_spec) speedup_spec alloc_copy alloc_reuse
       alloc_reduction dns_before dns_after dns_reduction dns_parse_before
       dns_parse_after dns_e2e_before dns_e2e_after http_before http_after
-      http_reduction susp_arena susp_copy susp_copies
+      http_reduction susp_arena susp_copy susp_copies sha1_mb_per_s
+      sha1_alloc_per_kib
   in
   Bench_util.write_file_atomic "BENCH_micro.json" json;
   print_endline "dispatch + frame-arena data written to BENCH_micro.json"
@@ -589,4 +628,6 @@ let run () =
   print_newline ();
   let susp = suspend_copy_bench () in
   print_newline ();
-  verified_dispatch_bench arena dns http susp
+  let sha1 = sha1_bench () in
+  print_newline ();
+  verified_dispatch_bench arena dns http susp sha1

@@ -82,6 +82,13 @@ grep -q '"http_alloc_reduction"' BENCH_micro.json
 # Zero-copy view decode must cut the DNS per-packet allocation by >= 50%
 # versus the string-materializing path (measured runs land ~90%).
 awk -F': ' '/"dns_alloc_reduction"/ { if ($2+0 < 0.5) exit 1 }' BENCH_micro.json
+grep -q '"sha1_mb_per_s"' BENCH_micro.json
+grep -q '"sha1_alloc_bytes_per_kib"' BENCH_micro.json
+# Streaming SHA-1 must not allocate per byte hashed: feeding 1 MiB in
+# segment-sized pieces allocates only the final digest string (measured
+# runs land ~0.1 bytes per KiB).  Allocation is deterministic, so this
+# gate cannot flake the way the timing gates can.
+awk -F': ' '/"sha1_alloc_bytes_per_kib"/ { if ($2+0 >= 1) exit 1 }' BENCH_micro.json
 
 echo "== bench vmopt (writes BENCH_vmopt.json)"
 dune exec bench/main.exe -- vmopt --quick

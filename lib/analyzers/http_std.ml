@@ -12,6 +12,7 @@
 
 type headers = (string * string) list
 
+(* [Fixed] and [Chunk_data] carry the body bytes still to come. *)
 type body_mode =
   | No_body
   | Fixed of int
@@ -37,7 +38,9 @@ type t = {
   (* current-message scratch *)
   mutable line1 : string list; (** split start line *)
   mutable headers : headers;
-  mutable body : Buffer.t;
+  mutable body_len : int;      (** body bytes consumed so far *)
+  mutable hash_body : bool;    (** this message's body goes into [sha] *)
+  sha : Mini_bro.Sha1.t;       (** running hash of the body in flight *)
   mutable messages : int;
 }
 
@@ -51,12 +54,15 @@ let create ~is_request ~on_request ~on_reply =
     phase = Start_line;
     line1 = [];
     headers = [];
-    body = Buffer.create 256;
+    body_len = 0;
+    hash_body = false;
+    sha = Mini_bro.Sha1.create ();
     messages = 0;
   }
 
-(** Stream bytes currently held — stays bounded by one in-flight message
-    because consumed input is trimmed after every drain. *)
+(** Stream bytes currently held.  Body bytes are hashed and dropped as
+    they arrive and consumed input is trimmed after every drain, so this
+    stays bounded by one start line or header block, never by a body. *)
 let retained t = Hilti_types.Hbytes.length t.buf
 
 let header t name =
@@ -66,7 +72,7 @@ let header t name =
 let reset_message t =
   t.line1 <- [];
   t.headers <- [];
-  t.body <- Buffer.create 256;
+  t.body_len <- 0;
   t.phase <- Start_line
 
 let cursor t = Hilti_types.Hbytes.iter_at t.buf t.pos
@@ -90,25 +96,21 @@ let take_line t =
       t.pos <- Hilti_types.Hbytes.offset nl + 1;
       Some line
 
-(* Copy [n] buffered bytes straight into [buf] (no intermediate string);
-   false if not enough data yet. *)
-let take_into t n buf =
+(* Consume up to [n] buffered body bytes in place: hash them if this
+   message logs a hash, count them, and return how many were taken.  The
+   bytes are never copied; [trim] releases them after the drain. *)
+let take_body t n =
   let it = cursor t in
-  if Hilti_types.Hbytes.available it < n then false
-  else begin
-    let v = Hilti_types.Hbytes.sub_view it (Hilti_types.Hbytes.advance it n) in
-    Hilti_types.Hbytes.view_add_to_buffer v 0 n buf;
-    t.pos <- t.pos + n;
-    true
-  end
-
-(* Move everything still buffered into the body accumulator (Until_close). *)
-let take_all_into t buf =
-  let it = cursor t in
-  let v = Hilti_types.Hbytes.sub_view it (Hilti_types.Hbytes.end_ t.buf) in
-  Hilti_types.Hbytes.view_add_to_buffer v 0
-    (Hilti_types.Hbytes.view_length v) buf;
-  t.pos <- Hilti_types.Hbytes.end_offset t.buf
+  let k = Stdlib.min n (Hilti_types.Hbytes.available it) in
+  if k > 0 then begin
+    if t.hash_body then
+      Hilti_types.Hbytes.view_consume
+        (Hilti_types.Hbytes.sub_view it (Hilti_types.Hbytes.advance it k))
+        (Mini_bro.Sha1.feed t.sha);
+    t.body_len <- t.body_len + k;
+    t.pos <- t.pos + k
+  end;
+  k
 
 let split_ws s =
   String.split_on_char ' ' s |> List.filter (fun x -> x <> "")
@@ -133,12 +135,13 @@ let finish_request t =
   | _ -> ());
   reset_message t
 
+let reply_code code = int_of_string_opt code |> Option.value ~default:0
+
 let finish_reply t =
   t.messages <- t.messages + 1;
   (match t.line1 with
   | version :: code :: rest ->
-      let code = int_of_string_opt code |> Option.value ~default:0 in
-      let body = Buffer.contents t.body in
+      let code = reply_code code in
       let reply =
         if code = 206 then
           (* The standard parser skips body metadata on Partial Content. *)
@@ -156,8 +159,9 @@ let finish_reply t =
             code;
             reason = String.concat " " rest;
             mime = Option.value ~default:"-" (header t "content-type");
-            body_len = String.length body;
-            body_sha1 = (if body = "" then "" else Mini_bro.Sha1.digest body);
+            body_len = t.body_len;
+            body_sha1 =
+              (if t.body_len = 0 then "" else Mini_bro.Sha1.finish t.sha);
           }
       in
       t.on_reply reply
@@ -166,18 +170,21 @@ let finish_reply t =
 
 let finish_message t = if t.is_request then finish_request t else finish_reply t
 
-(* Decide how the body arrives once headers are complete. *)
+(* Decide how the body arrives once headers are complete; [None] for a
+   negative Content-Length, which no message can have. *)
 let body_mode_of t =
   match header t "transfer-encoding" with
-  | Some te when String.lowercase_ascii (String.trim te) = "chunked" -> Chunk_size
+  | Some te when String.lowercase_ascii (String.trim te) = "chunked" ->
+      Some Chunk_size
   | _ -> (
       match header t "content-length" with
       | Some cl -> (
           match int_of_string_opt (String.trim cl) with
-          | Some 0 | None -> No_body
-          | Some n -> Fixed n)
+          | Some 0 | None -> Some No_body
+          | Some n when n < 0 -> None
+          | Some n -> Some (Fixed n))
       | None ->
-          if t.is_request then No_body
+          if t.is_request then Some No_body
           else
             (* A reply with neither length nor chunking: body runs until
                close if the server said so, else there is no body. *)
@@ -186,7 +193,39 @@ let body_mode_of t =
               | Some c -> String.lowercase_ascii (String.trim c) = "close"
               | None -> false
             in
-            if close then Until_close else No_body)
+            Some (if close then Until_close else No_body))
+
+(* Only replies log a body hash, and the standard parser skips body
+   metadata on 206 Partial Content, so those bodies are not hashed. *)
+let hashes_body t =
+  (not t.is_request)
+  && match t.line1 with _ :: code :: _ -> reply_code code <> 206 | _ -> false
+
+(* A chunk-size line: 1*HEXDIG, optional blanks, then either the end or a
+   ';' chunk extension — the grammar's [len_hex] token.  [None] on
+   anything else, or on a size too large for an int. *)
+let chunk_size line =
+  let n = String.length line in
+  let rec digits i acc =
+    let d =
+      if i >= n then -1
+      else
+        match line.[i] with
+        | '0' .. '9' as c -> Char.code c - Char.code '0'
+        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+        | _ -> -1
+    in
+    if d >= 0 && acc <= max_int lsr 4 then digits (i + 1) ((acc lsl 4) lor d)
+    else (i, acc)
+  in
+  let rec rest i =
+    i >= n
+    || match line.[i] with ' ' | '\t' -> rest (i + 1) | ';' -> true | _ -> false
+  in
+  match digits 0 0 with
+  | 0, _ -> None
+  | i, size -> if rest i then Some size else None
 
 (* One step of the state machine; false = need more data. *)
 let rec step t : bool =
@@ -218,8 +257,11 @@ let rec step t : bool =
       match take_line t with
       | Some "" ->
           (match body_mode_of t with
-          | No_body -> finish_message t
-          | mode -> t.phase <- In_body mode);
+          | Some No_body -> finish_message t
+          | Some mode ->
+              t.hash_body <- hashes_body t;
+              t.phase <- In_body mode
+          | None -> t.phase <- Failed);
           true
       | Some line -> (
           match String.index_opt line ':' with
@@ -233,27 +275,22 @@ let rec step t : bool =
   | In_body No_body ->
       finish_message t;
       true
-  | In_body (Fixed n) ->
-      if take_into t n t.body then begin
-        finish_message t;
-        true
-      end
-      else false
+  | In_body (Fixed n) -> (
+      match n - take_body t n with
+      | 0 -> finish_message t; true
+      | left -> t.phase <- In_body (Fixed left); false)
   | In_body Chunk_size -> (
       match take_line t with
       | Some line -> (
-          let hex = List.hd (String.split_on_char ';' line) in
-          match int_of_string_opt ("0x" ^ String.trim hex) with
+          match chunk_size line with
           | Some 0 -> t.phase <- In_body Trailer; true
           | Some n -> t.phase <- In_body (Chunk_data n); true
           | None -> t.phase <- Failed; false)
       | None -> false)
-  | In_body (Chunk_data n) ->
-      if take_into t n t.body then begin
-        t.phase <- In_body (Chunk_sep 0);
-        true
-      end
-      else false
+  | In_body (Chunk_data n) -> (
+      match n - take_body t n with
+      | 0 -> t.phase <- In_body (Chunk_sep 0); true
+      | left -> t.phase <- In_body (Chunk_data left); false)
   | In_body (Chunk_sep _) -> (
       match take_line t with
       | Some _ -> t.phase <- In_body Chunk_size; true
@@ -264,7 +301,10 @@ let rec step t : bool =
       | Some "" -> finish_message t; true
       | Some _ -> true
       | None -> false)
-  | In_body Until_close -> false  (* everything buffers until EOF *)
+  | In_body Until_close ->
+      (* The body runs to EOF: take what is here and wait for more. *)
+      ignore (take_body t max_int);
+      false
 
 and drain t = if step t then drain t
 
@@ -275,9 +315,6 @@ let trim t = Hilti_types.Hbytes.trim t.buf (cursor t)
 let feed t data =
   if t.phase <> Failed then begin
     Hilti_types.Hbytes.append t.buf data;
-    (match t.phase with
-    | In_body Until_close -> take_all_into t t.body
-    | _ -> ());
     drain t;
     trim t
   end
@@ -286,7 +323,7 @@ let feed t data =
 let eof t =
   (match t.phase with
   | In_body Until_close ->
-      take_all_into t t.body;
+      drain t;
       finish_message t
   | _ -> drain t);
   trim t

@@ -431,6 +431,18 @@ let view_add_to_buffer (v : view) off len (buf : Buffer.t) =
   if off < 0 || len < 0 || off + len > v.vlen then raise Out_of_range;
   Buffer.add_subbytes buf v.vt.buf (v.vphys + off) len
 
+(** [view_consume v f] calls [f buf off len] on the backing bytes under
+    the view: the consumer reads [buf] from [off] for [len] bytes in
+    place, with no copy.  The generation check runs first, so a stale
+    view raises {!Stale_view} rather than handing out moved bytes.  [f]
+    must only read [buf] (it may be an immutable string's storage), must
+    not keep it past the call (a later append may compact or replace it)
+    and must not mutate the underlying object while it runs.  This is
+    how stream parsers hash or count payload before trimming it. *)
+let view_consume (v : view) (f : Bytes.t -> int -> int -> unit) =
+  check_view v;
+  f v.vt.buf v.vphys v.vlen
+
 (** A frozen bytes object sharing the view's window — zero-copy when the
     underlying object is frozen (the backing buffer can never move), a
     copy otherwise.  This is how a packet-payload slice enters the
